@@ -5,20 +5,8 @@ scenario in ``benchmarks/baselines/load_seed.json``; this gate fails
 the suite if the relay topology's best-window rate ever falls below a
 floor multiple of that recording — optimizations must not quietly rot.
 
-PR 6 raised the floor from the original 0.8x to a backend-aware pair
-(compiled 1.6x, pure Python 1.2x), both as *raw* multiples of the
-recorded seed.  The third perf wave raised them again — compiled to
-**2.5x**, Python to **1.4x** — and made the compiled gate
-*host-calibrated*: shared containers swing tens of percent in CPU
-speed minute to minute, so before gating, the unchanged pure-Python
-reference workload is re-measured on the current host (in a child
-interpreter, see :mod:`repro.load.calibrate`) and the floor is scaled
-by the measured host-speed ratio.  The gate then asserts what it
-always meant to assert — "the compiled engine is this much faster
-than the recorded seed *on the reference host*" — without flaking on
-a slow CPU slice or rubber-stamping on a fast one.  The Python floor
-stays raw by design — that workload *is* the calibration reference,
-so calibrating it against itself would make the gate vacuous.  1.4x
+Later hot-path work raised the floor from the original 0.8x to 1.2x
+and then to **1.4x**, a *raw* multiple of the recorded seed.  1.4x
 sits under the ~1.75x measured on reference-class hosts; a host whose
 CPU slice dips much below ~80% of the reference container's will read
 it as a (spurious) failure, which is the honest signal that the
@@ -30,19 +18,15 @@ import os
 import pytest
 
 from repro.load import LoadJob
-from repro.load.calibrate import measure_python_reference
 from repro.load.harness import _run_job
 from repro.load.topologies import BATCH, RELAY
-from repro.network.backend import BACKEND
-from repro.tools.bench import host_calibration, load_baseline
+from repro.tools.bench import load_baseline
 
 _BASELINE_PATH = os.path.join(os.path.dirname(__file__), "baselines",
                               "load_seed.json")
 
-#: Floor multiples of the recorded seed best-window rate.  The
-#: compiled floor is in reference-host terms (scaled by the measured
-#: host calibration before comparing); the Python floor is raw.
-FLOOR = 2.5 if BACKEND == "compiled" else 1.4
+#: Floor multiple of the recorded seed best-window rate.
+FLOOR = 1.4
 
 
 def _one_window() -> float:
@@ -57,34 +41,13 @@ def test_relay_load_throughput_does_not_regress(reproduce):
     seed_rate = baseline.get("calls_per_sec_best")
     assert seed_rate, "missing baselines/load_seed.json"
     floor_rate = FLOOR * seed_rate
-    calibration = None
-    if BACKEND == "compiled":
-        # Interleave the calibration probe with the gated measurement:
-        # host speed drifts on a scale of minutes, so probing once and
-        # measuring afterwards can pair a fast-moment reference with a
-        # slow-moment measurement (or vice versa).  Taking both maxima
-        # over alternating samples pins them to the same interval.
-        reference = baseline.get(
-            "python_reference_calls_per_sec_best_window")
-        best = probe_best = 0.0
-        for _ in range(3):
-            probe = measure_python_reference(repeats=1)
-            if probe:
-                probe_best = max(probe_best, probe)
-            best = max(best, _one_window())
-        calibration = host_calibration(probe_best or None, reference)
-        if calibration:
-            floor_rate *= calibration
-    else:
-        best = max(_one_window() for _ in range(5))
+    best = max(_one_window() for _ in range(5))
     reproduce("load engine", "relay calls/sec (best window)",
               seed_rate, best, unit="calls/s")
     assert best >= floor_rate, (
         "relay throughput %.1f calls/sec fell below %.1f "
-        "(%.2fx the recorded seed %.1f%s)"
-        % (best, floor_rate, best / seed_rate, seed_rate,
-           ", host calibration %.3f" % calibration
-           if calibration else ""))
+        "(%.2fx the recorded seed %.1f)"
+        % (best, floor_rate, best / seed_rate, seed_rate))
 
 
 def test_relay_load_is_deterministic_across_repeats():

@@ -1,22 +1,18 @@
 """Slot-receive hot-path guard (not a paper artifact).
 
-The third perf wave moved the strict/reliable slot FSM receive path
-into the compiled backend (``slot_fsm_fast``), batched same-instant
-cross-link deliveries (``receive_batch``), and inlined the accepted-
-signal goal dispatch.  This module guards that machinery the same two
-ways ``test_bench_trace_overhead.py`` guards tracing:
+Every signal a slot receives runs the strict/reliable slot FSM and,
+behind a flowlink, the accepted-signal goal dispatch.  This module
+guards that path the same two ways ``test_bench_trace_overhead.py``
+guards tracing:
 
 * *structurally* — the workloads execute a pinned event schedule
   (``expected_executed``), so a "speedup" that skips or reorders work
   cannot hide;
 * *in wall-clock* — the two receive-dominated workloads recorded in
   ``baselines/slot_receive_seed.json`` must run within a generous
-  tolerance band (3x) of the recorded pure-Python best.  The band
-  absorbs shared-runner noise; a real per-receive regression
-  (thousands of receives per workload) would blow through it.
-
-The baseline was recorded under ``REPRO_BACKEND=python``; the compiled
-backend runs the same gate and simply enjoys more headroom.
+  tolerance band (3x) of the recorded best.  The band absorbs
+  shared-runner noise; a real per-receive regression (thousands of
+  receives per workload) would blow through it.
 """
 
 import json
@@ -52,8 +48,7 @@ def _best_of(fn, repeats: int = 5) -> float:
 # ----------------------------------------------------------------------
 def _direct_churn_200() -> int:
     """Device-to-device open/close churn: every receive is a strict
-    reliable slot transition — the ``slot_fsm_fast`` kernel's exact
-    domain, with no flowlink in the way."""
+    reliable slot transition, with no flowlink in the way."""
     net = Network(seed=0)
     a = net.device("A")
     b = net.device("B", auto_accept=True)
@@ -68,9 +63,8 @@ def _direct_churn_200() -> int:
 
 
 def _relay_churn_100() -> int:
-    """Device-box-device churn through one flowlink: adds the batched
-    cross-link delivery walk and the inlined goal dispatch on top of
-    the FSM kernels."""
+    """Device-box-device churn through one flowlink: adds cross-link
+    delivery and the goal dispatch on top of the slot FSM."""
     net = Network(seed=0)
     a = net.device("A")
     b = net.device("B", auto_accept=True)

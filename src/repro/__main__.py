@@ -10,8 +10,8 @@ Subcommands::
     python -m repro lint        # static analysis of the bundled
                                 # programs and models (see --help)
     python -m repro audit       # static analysis of the runtime:
-                                # backend parity, determinism, arena
-                                # contracts (see --help)
+                                # determinism, arena contracts
+                                # (see --help)
     python -m repro chaos       # the bundled apps under fault
                                 # injection (see --help)
     python -m repro trace       # record one app run and export its
@@ -51,8 +51,8 @@ _DELEGATED = {
     "lint": ("repro.staticcheck.cli",
              "static analysis of the bundled box programs and models"),
     "audit": ("repro.audit.cli",
-              "audit the runtime itself: C/Python backend parity, "
-              "determinism hazards, arena contracts (RC8xx)"),
+              "audit the runtime itself: determinism hazards, "
+              "arena contracts (RC8xx)"),
     "chaos": ("repro.chaos.cli",
               "run the bundled apps under fault injection and check "
               "media convergence"),

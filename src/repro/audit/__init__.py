@@ -1,21 +1,10 @@
 """Static analysis of the runtime itself (``python -m repro audit``).
 
 PR 2's RCxxx linter checks the *programs* the system runs; this
-package's RC8xx family checks the *runtime* they run on.  Since the
-hot core became dual-implementation (pure-Python kernels plus the
-hand-written C extension :mod:`repro.network._ccore`), the repo's core
-correctness claim — byte-identical fingerprints across backends — rests
-on two copies of the same semantics staying in sync by hand.  The
-auditor makes that synchronization mechanical:
-
-:mod:`.parity`
-    Extracts a comparable surface from ``_ccore.c`` (pattern-based:
-    kernel entry points, the Event comparator's field order, arena
-    caps, the ABI version, interned attribute names, cross-language
-    symbol lookups) and from the Python reference modules (via
-    :mod:`ast`), then diffs the two so a kernel or constant added on
-    one side without the other is a lint error, not a latent
-    fingerprint divergence.
+package's RC8xx family checks the *runtime* they run on: the repo's
+core correctness claim — byte-identical runtime fingerprints — rests
+on the simulation being a pure function of its seed and on the hot
+path's object arenas honouring their reset contracts.
 
 :mod:`.determinism`
     Flags nondeterminism hazards across all of ``src/repro`` that
@@ -34,9 +23,7 @@ auditor makes that synchronization mechanical:
 
 :mod:`.leakgate`
     Replays a bundled app N times and asserts object/refcount
-    stability — the dynamic complement CI runs against the
-    ASan/UBSan-built extension (``tools/build_backend.py --debug
-    --sanitize``).
+    stability — the dynamic complement of the static arena pass.
 
 Diagnostics reuse the staticcheck plumbing (:class:`Diagnostic`,
 :class:`Suppression`, :class:`LintTarget`), so reports, suppressions

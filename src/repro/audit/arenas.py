@@ -1,4 +1,4 @@
-"""Pass 3: arena reset-contract checker.
+"""Arena reset-contract checker.
 
 PR 6 introduced three object arenas on the hot path (DESIGN.md §10):
 the per-link Event freelist, the per-node recycled stimulus event, and
@@ -13,26 +13,19 @@ acquire and its re-arm stores must live in the same function (they do,
 on the hot path, by design — the arenas exist to avoid call frames),
 which makes the static check simple and exhaustive rather than clever
 and partial.
-
-The same module also audits the C side's mirrored sites with the
-pattern-based approach of :mod:`.surface`: the C freelist re-arm block
-must assign the same fields, and the C envelope release must reset
-``signal`` and honor the cap.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..staticcheck.diagnostics import Diagnostic
-from .surface import c_source_path, repo_root
+from .determinism import SOURCE_DIR
 
-__all__ = ["ArenaSpec", "SPECS", "check_module_source",
-           "check_c_contracts", "check_arenas"]
+__all__ = ["ArenaSpec", "SPECS", "check_module_source", "check_arenas"]
 
 _PROGRAM = "runtime/arenas"
 
@@ -246,47 +239,11 @@ def check_module_source(relpath: str, text: str) -> List[Diagnostic]:
     return found
 
 
-# ----------------------------------------------------------------------
-# the C side of the same contracts
-# ----------------------------------------------------------------------
-#: Pattern → (code, message).  Each pattern must appear in _ccore.c;
-#: its absence means the mirrored C site lost part of the contract
-#: (or drifted away from the audited idiom — equally worth a look).
-_C_CONTRACTS: Tuple[Tuple[str, str, str], ...] = (
-    (r'ev->seq\s*=\s*seq', "RC820",
-     "C freelist re-arm no longer assigns ev->seq"),
-    (r'ev->time\s*=\s*\w+', "RC820",
-     "C freelist re-arm no longer assigns ev->time"),
-    (r'PyList_GET_SIZE\(\w+->freelist\)\s*<\s*FREELIST_MAX', "RC822",
-     "C freelist harvest lost its FREELIST_MAX cap guard"),
-    (r'PyList_GET_SIZE\(\w+->env_pool\)\s*<\s*ENV_POOL_MAX', "RC822",
-     "C envelope release lost its ENV_POOL_MAX cap guard"),
-    (r'PyObject_SetAttr\(\w+,\s*S\.signal,\s*Py_None\)', "RC821",
-     "C envelope release no longer resets ->signal to None"),
-    (r'cancelled', "RC821",
-     "C freelist logic no longer consults the cancelled flag"),
-)
-
-
-def check_c_contracts(text: str) -> List[Diagnostic]:
-    found: List[Diagnostic] = []
-    for pattern, code, message in _C_CONTRACTS:
-        if not re.search(pattern, text):
-            found.append(Diagnostic(
-                code=code, program=_PROGRAM, state="_ccore.c",
-                message=message + " (pattern %r not found)" % pattern))
-    return found
-
-
-def check_arenas(root: Optional[str] = None) -> List[Diagnostic]:
+def check_arenas() -> List[Diagnostic]:
     """Run the arena pass over the real repo."""
-    root = root or repo_root()
-    base = os.path.join(root, "src", "repro")
     found: List[Diagnostic] = []
     for rel in ARENA_MODULES:
-        path = os.path.join(base, rel.replace("/", os.sep))
+        path = os.path.join(SOURCE_DIR, rel.replace("/", os.sep))
         with open(path, "r", encoding="utf-8") as fh:
             found.extend(check_module_source(rel, fh.read()))
-    with open(c_source_path(root), "r", encoding="utf-8") as fh:
-        found.extend(check_c_contracts(fh.read()))
     return sorted(found, key=lambda d: (d.state or "", d.code))

@@ -19,7 +19,6 @@ from ..staticcheck.diagnostics import Diagnostic, Suppression
 from . import codes as _codes  # noqa: F401  (registers RC8xx)
 from .arenas import check_arenas
 from .determinism import check_tree, iter_source_files, subpackage_of
-from .parity import check_parity
 
 __all__ = ["audit_targets", "select_audit_targets",
            "DETERMINISM_WAIVERS"]
@@ -32,10 +31,6 @@ DETERMINISM_WAIVERS: Dict[str, Tuple[Suppression, ...]] = {
         Suppression("RC810", "the load harness exists to measure "
                     "wall-clock throughput; elapsed time is reported, "
                     "never fed back into simulation state"),
-        Suppression("RC813", "the host-calibration probe forwards the "
-                    "parent environment (pinning REPRO_BACKEND=python) "
-                    "when spawning its child-interpreter reference "
-                    "run; no simulation input is read from it"),
     ),
     "chaos": (
         Suppression("RC810", "chaos reports record wall-clock elapsed "
@@ -70,10 +65,7 @@ def _determinism_run(sub: str) -> Callable[[], List[Diagnostic]]:
 
 def audit_targets() -> List[LintTarget]:
     """Every target ``python -m repro audit`` checks by default."""
-    targets = [
-        LintTarget("runtime/parity", check_parity),
-        LintTarget("runtime/arenas", check_arenas),
-    ]
+    targets = [LintTarget("runtime/arenas", check_arenas)]
     subs = sorted({subpackage_of(rel)
                    for rel, _ in iter_source_files()})
     for sub in subs:

@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro audit                      # all four passes
+    python -m repro audit                      # every static pass
     python -m repro audit --list               # show target names
-    python -m repro audit --target runtime/parity
+    python -m repro audit --target runtime/arenas
     python -m repro audit --format json        # machine-readable
     python -m repro audit --list-rules         # the RCxxx+RC8xx catalog
     python -m repro audit --fixtures           # negative controls
@@ -38,9 +38,8 @@ __all__ = ["build_parser", "main"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro audit",
-        description="Statically audit the runtime: C/Python backend "
-                    "parity, determinism hazards, and arena reset "
-                    "contracts (RC8xx)")
+        description="Statically audit the runtime: determinism "
+                    "hazards and arena reset contracts (RC8xx)")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
     parser.add_argument("--target", action="append", default=None,

@@ -9,7 +9,6 @@ merged catalog.
 
 Sub-families::
 
-    RC80x  backend parity   (C surface vs. Python reference surface)
     RC81x  determinism      (hazards that break byte-identical traces)
     RC82x  arena contracts  (freelist/pool acquire-reset-release)
 """
@@ -23,11 +22,6 @@ from ..staticcheck.diagnostics import register_codes
 __all__ = ["AUDIT_CODES", "AUDIT_DESCRIPTIONS"]
 
 AUDIT_CODES: Dict[str, Tuple[str, str]] = {
-    "RC801": ("kernel-surface-drift", "error"),
-    "RC802": ("comparator-order-drift", "error"),
-    "RC803": ("constant-drift", "error"),
-    "RC804": ("missing-runtime-symbol", "error"),
-    "RC805": ("interned-name-drift", "error"),
     "RC810": ("wall-clock-read", "error"),
     "RC811": ("unseeded-random", "error"),
     "RC812": ("unordered-iteration", "warning"),
@@ -40,16 +34,6 @@ AUDIT_CODES: Dict[str, Tuple[str, str]] = {
 }
 
 AUDIT_DESCRIPTIONS: Dict[str, str] = {
-    "RC801": "a runtime kernel is exported by _ccore.c or consumed by "
-             "the Python modules, but not both",
-    "RC802": "the Event comparator's (time, priority, seq) field order "
-             "differs between the C and Python implementations",
-    "RC803": "an arena cap or the ABI version differs between _ccore.c "
-             "and its Python reference module",
-    "RC804": "_ccore.c looks up a module attribute the Python runtime "
-             "no longer defines",
-    "RC805": "_ccore.c interns or fetches an attribute name that "
-             "appears nowhere in the Python reference modules",
     "RC810": "a wall-clock read (time.time/perf_counter/...) at a "
              "site that can perturb deterministic simulation",
     "RC811": "a module-level random.* call draws from the unseeded "

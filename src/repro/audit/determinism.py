@@ -21,10 +21,12 @@ import os
 from typing import Iterable, List, Optional, Tuple
 
 from ..staticcheck.diagnostics import Diagnostic
-from .surface import repo_root
 
-__all__ = ["check_source", "check_tree", "iter_source_files",
-           "subpackage_of"]
+__all__ = ["SOURCE_DIR", "check_source", "check_tree",
+           "iter_source_files", "subpackage_of"]
+
+#: The ``repro`` package directory the passes audit.
+SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: ``time.<attr>`` reads that consult the wall clock.
 _WALL_CLOCK = frozenset((
@@ -153,17 +155,15 @@ def check_source(relpath: str, text: str,
     return found
 
 
-def iter_source_files(root: Optional[str] = None
-                      ) -> Iterable[Tuple[str, str]]:
+def iter_source_files() -> Iterable[Tuple[str, str]]:
     """Yield ``(relpath, abspath)`` for every .py under src/repro,
     sorted for stable reports."""
-    base = os.path.join(root or repo_root(), "src", "repro")
-    for dirpath, dirnames, filenames in sorted(os.walk(base)):
+    for dirpath, dirnames, filenames in sorted(os.walk(SOURCE_DIR)):
         dirnames.sort()
         for name in sorted(filenames):
             if name.endswith(".py"):
                 abspath = os.path.join(dirpath, name)
-                yield os.path.relpath(abspath, base), abspath
+                yield os.path.relpath(abspath, SOURCE_DIR), abspath
 
 
 def subpackage_of(relpath: str) -> str:
@@ -173,12 +173,11 @@ def subpackage_of(relpath: str) -> str:
     return head if tail else "repro"
 
 
-def check_tree(subpackage: Optional[str] = None,
-               root: Optional[str] = None) -> List[Diagnostic]:
+def check_tree(subpackage: Optional[str] = None) -> List[Diagnostic]:
     """Run the determinism rules over ``src/repro`` (optionally one
     subpackage), with per-file locations in the diagnostics."""
     found: List[Diagnostic] = []
-    for relpath, abspath in iter_source_files(root):
+    for relpath, abspath in iter_source_files():
         sub = subpackage_of(relpath)
         if subpackage is not None and sub != subpackage:
             continue

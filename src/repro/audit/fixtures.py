@@ -1,12 +1,9 @@
 """Negative controls for the runtime auditor, one per RC8xx code.
 
 The catalog proves the shipped runtime is clean; these fixtures prove
-the rules would have said so if it were not.  The parity fixtures
-doctor the *real* ``_ccore.c`` text (delete a kernel export, swap the
-comparator's field order, bump an arena cap on one side) and push it
-through the very same extractors the clean audit uses; the
-determinism and arena fixtures are minimal broken sources modelled on
-the real hot-path sites.
+the rules would have said so if it were not.  Each is a minimal broken
+source modelled on the real hot-path sites, pushed through the very
+same checker the clean audit uses.
 
 ``python -m repro audit --fixtures`` runs them all and exits 1 by
 design, mirroring ``repro lint --fixtures``.
@@ -15,124 +12,14 @@ design, mirroring ``repro lint --fixtures``.
 from __future__ import annotations
 
 import textwrap
-from typing import Callable, List
+from typing import List
 
 from ..staticcheck.diagnostics import Diagnostic
 from ..staticcheck.fixtures import Fixture
-from .arenas import check_c_contracts, check_module_source
+from .arenas import check_module_source
 from .determinism import check_source
-from .parity import check_parity
-from .surface import c_source_path
 
 __all__ = ["Fixture", "all_audit_fixtures"]
-
-
-def _real_c_text() -> str:
-    with open(c_source_path(), "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _doctored_c(old: str, new: str) -> Callable[[], List[Diagnostic]]:
-    """A parity run over the real C source with one planted edit.
-
-    Raises if the anchor text vanished — a fixture that silently
-    stopped editing anything would 'pass' by testing the clean file.
-    """
-    def run() -> List[Diagnostic]:
-        text = _real_c_text()
-        if old not in text:
-            raise AssertionError(
-                "fixture anchor %r not found in _ccore.c; update the "
-                "negative control alongside the refactor" % old)
-        return check_parity(c_text=text.replace(old, new))
-    return run
-
-
-def _rc801() -> Fixture:
-    # A per-signal dispatch kernel removed from the C exports: the
-    # Python side still wires _CORE.Receive, so parity must flag both
-    # directions of the drift.
-    return Fixture(
-        name="audit-RC801", code="RC801",
-        run=_doctored_c('"Receive"', '"ReceiveGone"'),
-        state="Receive")
-
-
-def _rc802() -> Fixture:
-    # cev_lt's final tiebreaker compares the wrong field: heap order
-    # would diverge between backends on same-instant events.
-    return Fixture(
-        name="audit-RC802", code="RC802",
-        run=_doctored_c("return a->seq < b->seq;",
-                        "return a->args < b->args;"),
-        state="Event.__lt__")
-
-
-def _rc803() -> Fixture:
-    # The C freelist cap bumped without the Python side following.
-    return Fixture(
-        name="audit-RC803", code="RC803",
-        run=_doctored_c("#define FREELIST_MAX 32",
-                        "#define FREELIST_MAX 48"),
-        state="FREELIST_MAX")
-
-
-def _rc804() -> Fixture:
-    # ensure_protocol() resolving a class the Python runtime renamed.
-    return Fixture(
-        name="audit-RC804", code="RC804",
-        run=_doctored_c('"TunnelMessage"', '"TunnelEnvelope"'),
-        state="repro.protocol.signals.TunnelEnvelope")
-
-
-def _rc805() -> Fixture:
-    # An interned attribute name that no Python module spells anymore.
-    return Fixture(
-        name="audit-RC805", code="RC805",
-        run=_doctored_c('INTERN(_stim_event, "_stim_event");',
-                        'INTERN(_stim_event, "_stim_evt");'),
-        state="_stim_evt")
-
-
-# -- third-perf-wave surfaces (slot FSM, goal dispatch, batching) ------
-
-def _rc803_batch() -> Fixture:
-    # The C delivery batch cap bumped without eventloop.py following:
-    # coalescing width would change under exactly one backend.
-    return Fixture(
-        name="audit-RC803-batch", code="RC803",
-        run=_doctored_c("#define DELIVER_BATCH_MAX 16",
-                        "#define DELIVER_BATCH_MAX 24"),
-        state="DELIVER_BATCH_MAX")
-
-
-def _rc804_poison() -> Fixture:
-    # The FSM fast-path gate resolving a flag backend.py renamed.
-    return Fixture(
-        name="audit-RC804-poison", code="RC804",
-        run=_doctored_c('PyObject_GetAttrString(mod, "ARENA_POISON")',
-                        'PyObject_GetAttrString(mod, "ARENA_POISONX")'),
-        state="repro.network.backend.ARENA_POISONX")
-
-
-def _rc804_state() -> Fixture:
-    # A slot-state constant consumed by the C FSM kernels that the
-    # Python protocol module no longer exports.
-    return Fixture(
-        name="audit-RC804-state", code="RC804",
-        run=_doctored_c('PyObject_GetAttrString(mod, "FLOWING")',
-                        'PyObject_GetAttrString(mod, "FLOWINGX")'),
-        state="repro.protocol.slot.FLOWINGX")
-
-
-def _rc805_gen() -> Fixture:
-    # The generation counter the C FSM bumps, renamed on the C side
-    # only: the goal-poll memo would never invalidate from C.
-    return Fixture(
-        name="audit-RC805-gen", code="RC805",
-        run=_doctored_c('INTERN(goal_gen, "goal_gen");',
-                        'INTERN(goal_gen, "goal_generation");'),
-        state="goal_generation")
 
 
 def _det_fixture(name: str, code: str, source: str,
@@ -258,7 +145,5 @@ def _rc823() -> Fixture:
 def all_audit_fixtures() -> List[Fixture]:
     """Every negative control, in code order."""
     return [fn() for fn in (
-        _rc801, _rc802, _rc803, _rc804, _rc805,
-        _rc803_batch, _rc804_poison, _rc804_state, _rc805_gen,
         _rc810, _rc811, _rc812, _rc813, _rc814,
         _rc820, _rc821, _rc822, _rc823)]

@@ -1,13 +1,10 @@
-"""Pass 4 (dynamic): the refcount/object-count leak gate.
+"""The dynamic pass: the refcount/object-count leak gate.
 
 Replays a bundled application scenario N times and asserts that the
 process's live-object population is stable across the tail runs.  The
 static arena checker proves release sites exist; this gate proves the
-whole runtime — including the C extension's 100+ manual DECREF sites —
-actually returns to steady state.  CI runs it against the ASan/UBSan
-artifact (``tools/build_backend.py --debug --sanitize``), so a missing
-DECREF shows up here as monotone growth even when it is not
-heap-corrupting.
+whole runtime actually returns to steady state, so a reference an
+arena or pool pins by mistake shows up as monotone growth.
 
 Warm-up runs are excluded from the verdict: first executions populate
 caches (interned strings, compiled regexes, per-type method caches)

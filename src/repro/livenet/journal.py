@@ -67,8 +67,7 @@ class SignalJournal:
         """Start journaling ``channel`` as seen from ``ends[local_side]``.
 
         The transmit hook is installed outermost, so it observes traffic
-        before any fault policy and regardless of backend — the compiled
-        transmit kernel routes hooked links through the Python chain.
+        before any fault policy.
         """
         link = channel.link
         local_end = link.ends[local_side]

@@ -32,9 +32,7 @@ from typing import Any, Dict, List, Optional, TextIO
 
 from ..network.backend import describe as _backend_describe
 from ..network.faults import PLANS
-from ..tools.bench import (emit_json, host_calibration, load_baseline,
-                           speedup_vs_seed)
-from .calibrate import measure_python_reference
+from ..tools.bench import emit_json, load_baseline, speedup_vs_seed
 from .harness import LoadJob, LoadResult, default_jobs, run_jobs, summarize
 from .topologies import RELAY, TOPOLOGIES
 
@@ -80,13 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bench-json", default=None, metavar="PATH",
                         help="write the benchmark report to PATH "
                              "('-' for stdout)")
-    parser.add_argument("--calibrate", action="store_true",
-                        help="measure the pure-Python reference "
-                             "workload on this host (child "
-                             "interpreter) and report speedups both "
-                             "raw and normalized to the recorded "
-                             "reference host (implies a few seconds "
-                             "of extra measurement)")
     parser.add_argument("--profile", action="store_true",
                         help="run the shards serially in-process under "
                              "cProfile and print the top cumulative "
@@ -131,8 +122,8 @@ def _profiled_run(jobs: List[LoadJob], top: int,
 
 
 def _bench_payload(runs: Dict[int, Dict[str, Any]], apps: List[str],
-                   calls: int, seed: int, plan: Optional[str],
-                   calibrate: bool = False) -> Dict[str, Any]:
+                   calls: int, seed: int, plan: Optional[str]
+                   ) -> Dict[str, Any]:
     baseline = load_baseline(_BASELINE_PATH)
     payload: Dict[str, Any] = {
         "baseline": "benchmarks/baselines/load_seed.json",
@@ -161,18 +152,6 @@ def _bench_payload(runs: Dict[int, Dict[str, Any]], apps: List[str],
         if apps == [RELAY] and plan is None and seed_rate and rate:
             summary["speedup_vs_seed"] = speedup_vs_seed(
                 1.0 / seed_rate, 1.0 / rate)
-            if calibrate:
-                reference = baseline.get(
-                    "python_reference_calls_per_sec_best_window")
-                measured = measure_python_reference()
-                ratio = host_calibration(measured, reference)
-                summary["python_reference_calls_per_sec_best_window"] \
-                    = reference
-                summary["python_measured_calls_per_sec_best_window"] \
-                    = measured
-                summary["host_calibration"] = ratio
-                summary["speedup_vs_seed_calibrated"] = speedup_vs_seed(
-                    1.0 / seed_rate, 1.0 / rate, calibration=ratio)
         scaling = {}
         if single["calls_per_sec"]:
             for n, run in runs.items():
@@ -264,8 +243,7 @@ def main(argv: Optional[List[str]] = None,
     if args.bench_json:
         emit_json(args.bench_json,
                   _bench_payload(runs, apps, args.calls, args.seed,
-                                 args.fault_plan,
-                                 calibrate=args.calibrate), out=out)
+                                 args.fault_plan), out=out)
     return 0 if all(r["ok"] for r in runs.values()) else 1
 
 

@@ -31,15 +31,6 @@ fingerprint suite).  The clock is written only when an event's
 timestamp actually differs from the previous one — one store per
 same-timestamp *batch*, not per event — and the executed/live counters
 are flushed once per drain.
-
-Backends
---------
-The dispatch-critical kernels are selectable via ``REPRO_BACKEND`` (see
-:mod:`repro.network.backend`).  Under the compiled backend,
-:class:`Event` is a C extension type (C-level ordering, cheap
-allocation) and the untimed drain runs entirely in C; semantics are
-identical and the pure-Python implementations below remain the
-reference.
 """
 
 from __future__ import annotations
@@ -51,24 +42,10 @@ from collections import deque
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
                     Optional, Tuple)
 
-from .backend import CORE as _CORE
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.tracer import Tracer
 
 __all__ = ["Event", "EventLoop", "QuiescenceError"]
-
-#: Cap on how many same-instant deliveries to the same link end the
-#: compiled drain coalesces into one C walk (mirrored by the C kernel's
-#: ``DELIVER_BATCH_MAX``; the parity auditor pins the two together).
-#: Batching changes no observable order: the batched events are exactly
-#: the consecutive merged-order front, and a pure C delivery runs no
-#: user code that could cancel or reorder the events behind it.  The
-#: pure-Python drain dispatches one event at a time and needs no
-#: mirror logic -- the constant exists so the contract is visible (and
-#: doctorable) on the reference side.
-_DELIVER_BATCH_MAX = 16
-
 
 class QuiescenceError(RuntimeError):
     """Raised when a run is asked to reach quiescence but cannot.
@@ -168,16 +145,6 @@ class Event:
         return "<Event t=%g p=%d #%d %s%s>" % (
             self.time, self.priority, self.seq,
             getattr(self.callback, "__qualname__", self.callback), state)
-
-
-#: The selected backend's event type.  The C type has the same
-#: constructor, the same attribute names, the same ``cancel()``
-#: semantics (including the compaction trigger), and a C-level
-#: ``__lt__`` compatible with the Python one.
-if _CORE is not None:
-    Event = _CORE.Event  # type: ignore[misc, assignment]
-
-_drain = None if _CORE is None else _CORE.drain
 
 
 class EventLoop:
@@ -395,15 +362,12 @@ class EventLoop:
         if until is None:
             # Untimed runs (settle / run_until_quiescent / drain) are
             # the hot case; the batched drain pops directly with no
-            # deadline to peek against.  Under the compiled backend the
-            # whole drain, including counter flushing, runs in C.
+            # deadline to peek against.
             limit = -1 if max_events is None else max_events
-            if _drain is not None:
-                return _drain(self, limit)
-            return self._drain_py(limit)
+            return self._drain(limit)
         return self._run_timed(until, max_events)
 
-    def _drain_py(self, limit: int) -> int:
+    def _drain(self, limit: int) -> int:
         # Hot loop: lane bookkeeping is localized and the body of
         # _execute is inlined — at hundreds of thousands of events per
         # settle the attribute reads and the extra call frame are the

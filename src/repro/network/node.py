@@ -17,7 +17,6 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Deque, Optional, Tuple
 
-from .backend import CORE as _CORE
 from .eventloop import Event, EventLoop
 
 __all__ = ["Node"]
@@ -51,13 +50,9 @@ class Node:
         #: cancellation tombstone it can be re-armed in place with a
         #: fresh ``seq`` — same execution order, no allocation.
         self._stim_event: Optional[Event] = None
-        #: The callback armed for each stimulus completion.  Under the
-        #: compiled backend this is a C callable the drain loop
-        #: dispatches without a Python frame; otherwise the bound
-        #: method.  Created after ``loop``/``cost``/``_inbox`` exist
-        #: (the C object caches them).
-        self._finish_cb: Callable[[], None] = (
-            self._finish_one if _CORE is None else _CORE.Finish(self))
+        #: The callback armed for each stimulus completion (the bound
+        #: method, created once rather than per stimulus).
+        self._finish_cb: Callable[[], None] = self._finish_one
         #: Live timer events armed through :meth:`set_timer`, so a
         #: crash can cancel them wholesale (a dead process's pending
         #: alarms must not fire into its restarted self).  Compacted

@@ -24,7 +24,6 @@ from heapq import heappush
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from .backend import ARENA_POISON as _ARENA_POISON
-from .backend import CORE as _CORE
 from .eventloop import Event, EventLoop
 from .latency import FixedLatency, LatencyModel
 
@@ -149,19 +148,6 @@ class Link:
         self.deferred_peak = 0
         #: The composed transmit entry point (rebuilt on hook changes).
         self._chain: TransmitFn = self._base_transmit
-        if _CORE is not None:
-            # Compiled backend: per-end delivery kernels first (the
-            # transmit kernel caches them), then shadow the bound
-            # ``_base_transmit`` with the C transmit so every chain —
-            # including ones rebuilt after hook changes — bottoms out
-            # in C.  The Python method above stays the reference.
-            self.ends[0]._cdeliver = _CORE.Deliver(self.ends[0])
-            self.ends[1]._cdeliver = _CORE.Deliver(self.ends[1])
-            base = _CORE.LinkTransmit(self)
-            self._base_transmit = base  # type: ignore[method-assign]
-            self._chain = base
-            self.ends[0]._chain = base
-            self.ends[1]._chain = base
 
     def transmit(self, origin: LinkEnd, message: Any) -> None:
         """Schedule delivery of ``message`` at the end opposite ``origin``,
@@ -240,8 +226,6 @@ class Link:
                     e.callback = _poisoned_event_fired
                     e.args = ()
                 free.append(e)
-        # In-place replacement (not rebinding): the compiled backend's
-        # transmit kernel holds a direct reference to this list.
         self._pending[:] = alive
         # Amortize: raise the threshold with the live population so a
         # busy link is not rescanned on every send, but an idle one
@@ -296,7 +280,7 @@ class Link:
         is preserved (the queue is FIFO and the horizon clamp still
         applies at actual send time), and as long as the mark is never
         hit the wire behavior — timing, ordering, RNG draws — is
-        byte-identical to an unbounded link under both backends: the
+        byte-identical to an unbounded link: the
         bounded transmit replaces the faithful one at the bottom of the
         hook chain and reproduces it exactly, only routing delivery
         through an accounting trampoline.
@@ -316,8 +300,7 @@ class Link:
                 self._rebuild_chain()
             return
         if self._bp_high is None:
-            #: The faithful transmit being shadowed — the C kernel under
-            #: the compiled backend, the bound Python method otherwise.
+            #: The faithful transmit being shadowed.
             self._bp_faithful = self._base_transmit
             self._base_transmit = (  # type: ignore[method-assign]
                 self._bp_transmit)

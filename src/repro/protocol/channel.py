@@ -26,7 +26,6 @@ from heapq import heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..network.backend import ARENA_POISON as _ARENA_POISON
-from ..network.backend import CORE as _CORE
 from ..network.eventloop import Event, EventLoop
 from ..network.latency import LatencyModel
 from ..network.node import Node
@@ -53,9 +52,7 @@ _ENV_POOL_MAX = 64
 #: What a released envelope's ``signal`` field is reset to.  Normally
 #: ``None`` (drop the reference); under ``REPRO_ARENA_POISON`` it is
 #: the poison sentinel, so a use-after-release raises at its next
-#: attribute access instead of silently dispatching stale state.  A
-#: pure-Python debug aid: the compiled Process kernel keeps its own
-#: release path.
+#: attribute access instead of silently dispatching stale state.
 _RELEASED_SIGNAL = POISONED_SIGNAL if _ARENA_POISON else None
 
 
@@ -73,15 +70,6 @@ class SignalingAgent:
         self.name = name
         self.node = Node(loop, name=name, cost=cost)
         self.channel_ends: List["ChannelEnd"] = []
-        #: Slot-state generation counter.  Bumped whenever guard-visible
-        #: slot state owned by this agent changes: every
-        #: ``Slot._set_state`` (and the compiled FSM fast path, which
-        #: bypasses it), plus slot-name binding changes on boxes.  Boxes
-        #: pair it with ``_poll_gen`` to skip goal re-evaluation while
-        #: no guard input moved; the counter lives on the agent (not the
-        #: box) so the slot side can bump ``_end.owner.goal_gen``
-        #: without caring what kind of agent owns the end.
-        self.goal_gen = 0
 
     # -- hooks -----------------------------------------------------------
     def on_tunnel_signal(self, slot: Slot, signal: TunnelSignal) -> None:
@@ -134,17 +122,10 @@ class ChannelEnd:
         self.slots: Dict[str, Slot] = {
             tid: Slot(self, tid, strict=strict, retransmit=retransmit)
             for tid in channel.tunnel_ids}
-        #: The per-message kernels the wire and inbox dispatch through.
-        #: Under the compiled backend these are C callables (created in
-        #: this order: ``Receive`` caches ``_process_fn``); otherwise
-        #: the bound methods.  Either backend may process thunks queued
-        #: by the other — both callables obey the same contract.
-        if _CORE is None:
-            self._process_fn = self._process
-            self._receive_fn = self._receive
-        else:
-            self._process_fn = _CORE.Process(self)
-            self._receive_fn = _CORE.Receive(self)
+        #: The per-message callables the wire and inbox dispatch
+        #: through, bound once rather than per message.
+        self._process_fn = self._process
+        self._receive_fn = self._receive
 
     # -- identity ---------------------------------------------------------
     @property

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..network.backend import CORE as _CORE
 from ..obs.events import Retransmit, SlotDrop, SlotFailed, SlotTransition
 from .codecs import Medium
 from .descriptor import Descriptor, Selector
@@ -99,7 +98,7 @@ class Slot:
     # per-instance dict and makes the state fields the FSM touches on
     # every receive direct offsets.
     __slots__ = (
-        "_end", "_owner", "tunnel_id", "strict", "retransmit",
+        "_end", "tunnel_id", "strict", "retransmit",
         "state", "medium", "remote_descriptor", "local_descriptor",
         "selector_received", "selector_sent", "failed",
         "race_drops", "stale_drops", "invalid_drops", "duplicate_drops",
@@ -108,10 +107,9 @@ class Slot:
         "_retx_interval", "_stale_timer", "_stale_attempts", "_loop",
         "_tx",
         # Admission control: busy refusals received / retry machinery.
-        # Deliberately separate from the ``_retx_*`` fields — the
-        # compiled backend's receive kernel replicates the retx
-        # acknowledgement check against ``_retx_kind`` and must keep
-        # seeing only "open"/"close" there.
+        # Deliberately separate from the ``_retx_*`` fields, whose
+        # acknowledgement check only ever sees "open"/"close" in
+        # ``_retx_kind``.
         "busy_refusals", "_busy_timer", "_busy_attempts",
         "_busy_medium", "_busy_descriptor",
     )
@@ -120,11 +118,6 @@ class Slot:
                  strict: bool = True,
                  retransmit: Optional[RetransmitPolicy] = None):
         self._end = channel_end
-        #: The owning agent, pinned at construction (an end never
-        #: changes owners) — the goal_gen bump in ``_set_state`` runs
-        #: on every transition and must not re-chase ``_end.owner``.
-        #: The compiled kernels pin the same reference at their init.
-        self._owner = channel_end.owner
         self._loop = channel_end.owner.loop
         self.tunnel_id = tunnel_id
         #: Strict slots raise :class:`ProtocolError` on illegal receives;
@@ -176,12 +169,9 @@ class Slot:
         self._busy_medium: Optional[Medium] = None
         self._busy_descriptor: Optional[Descriptor] = None
 
-        #: The per-signal send kernel: under the compiled backend a C
-        #: callable that fuses ``_transmit`` with the link's transmit,
-        #: otherwise the bound reference method.  Every send site calls
-        #: ``self._tx``; ``_transmit`` below stays the specification.
-        self._tx = (self._transmit if _CORE is None
-                    else _CORE.SlotTransmit(self))
+        #: The per-signal send callable every send site calls (the
+        #: bound ``_transmit``, created once rather than per signal).
+        self._tx = self._transmit
 
     # ------------------------------------------------------------------
     # identity and predicates
@@ -213,12 +203,6 @@ class Slot:
         sees the full FSM history."""
         old = self.state
         self.state = new
-        # Guard-visible state moved (``failed`` flips always travel with
-        # a state change, so this one bump also covers them): invalidate
-        # the owner's goal-poll memo.  Unconditional — a same-state
-        # reset (e.g. force-closing a closed slot) conservatively
-        # invalidates too.
-        self._owner.goal_gen += 1
         tr = self._loop.trace
         if tr is not None and new != old:
             tr.emit(SlotTransition(

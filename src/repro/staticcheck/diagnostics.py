@@ -17,8 +17,8 @@ Code families::
                               selector freshness)
     RC6xx  path models       (goal pair vs. temporal spec mismatch)
     RC7xx  robustness        (degradation paths under lossy networks)
-    RC8xx  runtime audit     (backend parity, determinism hazards,
-                              arena contracts -- registered by
+    RC8xx  runtime audit     (determinism hazards, arena
+                              contracts -- registered by
                               :mod:`repro.audit.codes`)
 
 The code registry is shared between rule families:

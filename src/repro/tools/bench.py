@@ -15,7 +15,7 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, TextIO
 
 __all__ = ["write_text", "emit_json", "load_baseline", "geomean",
-           "speedup_vs_seed", "host_calibration"]
+           "speedup_vs_seed"]
 
 
 def write_text(path: str, text: str) -> None:
@@ -94,40 +94,11 @@ def geomean(values: Sequence[float]) -> Optional[float]:
 
 
 def speedup_vs_seed(seed_elapsed: Optional[float],
-                    elapsed: Optional[float],
-                    calibration: Optional[float] = None
-                    ) -> Optional[float]:
+                    elapsed: Optional[float]) -> Optional[float]:
     """``seed_elapsed / elapsed`` when both are positive, else ``None``
-    (missing baselines and zero-length timings never divide).
-
-    ``calibration`` is a host-speed ratio from :func:`host_calibration`:
-    this host's measured rate on a *reference* workload divided by the
-    rate the baseline host recorded for it.  Dividing the raw speedup
-    by it re-expresses the measurement in baseline-host terms, so a
-    speedup gate keeps meaning "the code got faster", not "the
-    container got a faster CPU slice today".  ``None`` (or a
-    non-positive value) applies no normalization.
-    """
+    (missing baselines and zero-length timings never divide)."""
     if not seed_elapsed or not elapsed:
         return None
     if seed_elapsed <= 0 or elapsed <= 0:
         return None
-    raw = seed_elapsed / elapsed
-    if calibration and calibration > 0:
-        return raw / calibration
-    return raw
-
-
-def host_calibration(measured_rate: Optional[float],
-                     reference_rate: Optional[float]) -> Optional[float]:
-    """This host's speed relative to the baseline host: the rate a
-    fixed reference workload achieves here divided by the rate the
-    baseline recorded for the identical workload.  1.0 means same
-    speed; 0.9 means this host runs the reference ~10% slower (so raw
-    speedups measured here understate the code by ~10%).  ``None``
-    when either side is missing or non-positive."""
-    if not measured_rate or not reference_rate:
-        return None
-    if measured_rate <= 0 or reference_rate <= 0:
-        return None
-    return measured_rate / reference_rate
+    return seed_elapsed / elapsed

@@ -21,7 +21,7 @@ def test_clean_audit_exits_zero():
 def test_fixtures_exit_one():
     out = io.StringIO()
     assert audit_main(["--fixtures"], stream=out) == 1
-    assert "audit-RC801" in out.getvalue()
+    assert "audit-RC810" in out.getvalue()
 
 
 def test_unknown_target_exits_two():
@@ -39,16 +39,15 @@ def test_list_names_targets():
     out = io.StringIO()
     assert audit_main(["--list"], stream=out) == 0
     names = out.getvalue().split()
-    assert "runtime/parity" in names
     assert "runtime/arenas" in names
     assert "runtime/determinism/network" in names
 
 
 def test_single_target_selection():
     out = io.StringIO()
-    assert audit_main(["--target", "runtime/parity"], stream=out) == 0
+    assert audit_main(["--target", "runtime/arenas"], stream=out) == 0
     text = out.getvalue()
-    assert "runtime/parity" in text and "1 target(s)" in text
+    assert "runtime/arenas" in text and "1 target(s)" in text
 
 
 def test_json_output_shape():
@@ -57,7 +56,7 @@ def test_json_output_shape():
     payload = json.loads(out.getvalue())
     assert payload["summary"]["errors"] == 0
     names = {t["name"] for t in payload["targets"]}
-    assert {"runtime/parity", "runtime/arenas"} <= names
+    assert "runtime/arenas" in names
     assert all(t["clean"] for t in payload["targets"])
 
 
@@ -68,11 +67,9 @@ def test_determinism_waivers_carry_reasons():
                       stream=out) == 0
     (target,) = json.loads(out.getvalue())["targets"]
     assert target["suppressed"], "expected waived RC810 wall-clock reads"
-    # The load waivers cover wall-clock reads (the harness measures
-    # throughput) and the calibration probe's child-process environ
-    # forwarding; anything else must surface as a real finding.
-    assert {s["code"] for s in target["suppressed"]} <= {"RC810", "RC813"}
-    assert "RC810" in {s["code"] for s in target["suppressed"]}
+    # The load waiver covers wall-clock reads (the harness measures
+    # throughput); anything else must surface as a real finding.
+    assert {s["code"] for s in target["suppressed"]} == {"RC810"}
     assert all(s["reason"] for s in target["suppressions"])
 
 
@@ -80,7 +77,7 @@ def test_audit_list_rules_merges_catalogs():
     out = io.StringIO()
     assert audit_main(["--list-rules"], stream=out) == 0
     text = out.getvalue()
-    assert "RC101" in text and "RC801" in text and "RC823" in text
+    assert "RC101" in text and "RC810" in text and "RC823" in text
 
 
 def test_lint_list_rules_includes_audit_codes():

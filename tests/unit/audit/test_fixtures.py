@@ -10,10 +10,7 @@ FIXTURES = all_audit_fixtures()
 
 
 def test_every_code_has_a_fixture():
-    # At least one negative control per code; parity codes carry one
-    # extra control per dual-implemented surface class (arena caps,
-    # runtime symbol lookups, interned names grew with the C FSM /
-    # goal-dispatch / batched-delivery kernels).
+    # Exactly one negative control per code.
     covered = {f.code for f in FIXTURES}
     assert covered == set(AUDIT_CODES)
 
@@ -41,11 +38,3 @@ def test_fixture_diagnostics_render(fixture):
         assert diagnostic.severity in ("error", "warning")
         assert diagnostic.format()
 
-
-def test_parity_fixture_anchors_track_the_real_source():
-    """A doctored-C fixture whose anchor text vanished from _ccore.c
-    must fail loudly, not silently audit the clean file."""
-    from repro.audit.fixtures import _doctored_c
-    run = _doctored_c("this text is not in the C source", "x")
-    with pytest.raises(AssertionError, match="anchor"):
-        run()

@@ -1,15 +1,11 @@
 """Per-rule behavior of the audit passes: each determinism/arena rule
 fires on its minimal trigger and stays quiet on the idiomatic legal
-form, and the shipped runtime comes back clean from all three static
-passes."""
+form, and the shipped runtime comes back clean from the arena pass."""
 
 import textwrap
 
-from repro.audit.arenas import (check_arenas, check_c_contracts,
-                                check_module_source)
+from repro.audit.arenas import check_arenas, check_module_source
 from repro.audit.determinism import check_source, subpackage_of
-from repro.audit.parity import check_parity
-from repro.audit.surface import c_source_path
 
 
 def _codes(diagnostics):
@@ -28,17 +24,8 @@ def _arena(source):
 # ----------------------------------------------------------------------
 # pass 1: the shipped repo self-hosts clean
 # ----------------------------------------------------------------------
-def test_shipped_parity_is_clean():
-    assert check_parity() == []
-
-
 def test_shipped_arenas_are_clean():
     assert check_arenas() == []
-
-
-def test_shipped_c_contracts_hold():
-    with open(c_source_path(), encoding="utf-8") as fh:
-        assert check_c_contracts(fh.read()) == []
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +98,7 @@ def test_rc813_environ_read():
 def test_rc813_sanctioned_in_backend():
     found = check_source("network/backend.py", textwrap.dedent("""\
         import os
-        MODE = os.environ.get("REPRO_BACKEND")
+        POISON = os.environ.get("REPRO_ARENA_POISON")
         """))
     assert "RC813" not in _codes(found)
 
@@ -220,10 +207,3 @@ def test_rc823_quiet_with_fresh_seq():
             return event
         """)
 
-
-def test_c_contract_violation_detected():
-    with open(c_source_path(), encoding="utf-8") as fh:
-        text = fh.read()
-    doctored = text.replace("ev->seq = seq;", "/* seq reuse */")
-    assert doctored != text
-    assert _codes(check_c_contracts(doctored))

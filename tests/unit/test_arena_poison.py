@@ -96,7 +96,7 @@ def test_harvest_poisons_callback_under_flag(monkeypatch):
 # ----------------------------------------------------------------------
 def _run_poisoned(code: str) -> str:
     env = {k: v for k, v in os.environ.items()
-           if k not in ("REPRO_BACKEND", "REPRO_ARENA_POISON")}
+           if k != "REPRO_ARENA_POISON"}
     env["REPRO_ARENA_POISON"] = "1"
     env["PYTHONPATH"] = _SRC
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
@@ -134,7 +134,7 @@ def test_scenarios_run_identically_under_poison():
             print(json.dumps(out, sort_keys=True))
             """)],
         env={k: v for k, v in os.environ.items()
-             if k not in ("REPRO_BACKEND", "REPRO_ARENA_POISON")}
+             if k != "REPRO_ARENA_POISON"}
         | {"PYTHONPATH": _SRC},
         capture_output=True, text=True)
     assert plain.returncode == 0, plain.stderr

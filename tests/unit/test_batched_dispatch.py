@@ -4,8 +4,7 @@ These pin the invariants the batched dispatch rewrite must preserve:
 same-timestamp bursts drain in strict ``(time, priority, seq)`` order
 across both lanes, cancellation works mid-batch, tombstones never
 consume event budget, and the deferred counter flush survives a
-raising callback.  They run identically under both backends (the CI
-compiled job re-runs this module with ``REPRO_BACKEND=compiled``).
+raising callback.
 """
 
 from __future__ import annotations

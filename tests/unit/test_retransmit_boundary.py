@@ -5,29 +5,17 @@ The slot FSM retransmits an unacknowledged ``open`` at
 ``backoff`` 2, and ``max_retries`` n the retransmits land at relative
 instants i, 3i, 7i, ... and the give-up fires at ``i * (2**(n+1) - 1)``.
 These tests pin that arithmetic exactly — one event early and the slot
-must still be trying, at the boundary it must have degraded — under
-both backends (the compiled backend's receive kernel shares the timer
-path with pure Python).
+must still be trying, at the boundary it must have degraded.
 """
-
-import json
-import os
-import subprocess
-import sys
-import textwrap
 
 import pytest
 
-from repro.network.backend import compiled_available
 from repro.network.address import Address
 from repro.network.eventloop import EventLoop
 from repro.protocol.channel import SignalingAgent, SignalingChannel
 from repro.protocol.codecs import AUDIO, G711
 from repro.protocol.descriptor import DescriptorFactory, Selector
 from repro.protocol.slot import RetransmitPolicy
-
-_SRC = os.path.normpath(os.path.join(
-    os.path.dirname(__file__), "..", "..", "src"))
 
 
 class _Quiet(SignalingAgent):
@@ -156,89 +144,3 @@ def test_stale_redescribe_budget_exhausts_at_the_same_closed_form():
     assert sa.is_flowing and not sa.failed  # mute, not dead
     assert loop.pending() == 0
 
-
-_BOUNDARY_PROBE = """
-import json
-from repro.network import backend
-from repro.network.address import Address
-from repro.network.eventloop import EventLoop
-from repro.protocol.channel import SignalingAgent, SignalingChannel
-from repro.protocol.codecs import AUDIO, G711
-from repro.protocol.descriptor import DescriptorFactory
-from repro.protocol.slot import RetransmitPolicy
-
-class Quiet(SignalingAgent):
-    def on_tunnel_signal(self, slot, signal):
-        pass
-    def on_meta(self, end, signal):
-        pass
-
-loop = EventLoop()
-a, b = Quiet(loop, "a"), Quiet(loop, "b")
-policy = RetransmitPolicy(initial=0.25, backoff=2.0, max_retries=3,
-                          stale_after=0.0)
-ch = SignalingChannel(loop, a, b, retransmit=policy)
-ch.link.down = True
-slot = ch.ends[0].slot()
-desc = DescriptorFactory("a").descriptor(Address("10.0.0.1", 10000),
-                                         (G711,))
-slot.send_open(AUDIO, desc)
-trail = []
-for t in (0.25, 0.75, 1.75, 3.75):
-    loop.advance(t - loop.now)
-    trail.append([loop.now, slot.retransmits, slot.failed])
-
-# The staleness budget on a fresh channel: flowing, answered, then a
-# re-describe over a dead wire until the budget exhausts.
-from repro.protocol.descriptor import Selector
-ch2 = SignalingChannel(loop, a, b, retransmit=RetransmitPolicy(
-    initial=0.25, backoff=2.0, max_retries=2, stale_after=0.5))
-sa, sb = ch2.ends[0].slot(), ch2.ends[1].slot()
-fa = DescriptorFactory("a2")
-first = fa.descriptor(Address("10.0.0.1", 11000), (G711,))
-sa.send_open(AUDIO, first)
-loop.advance(0.1)
-sb.send_oack(DescriptorFactory("b2").descriptor(
-    Address("10.0.0.2", 21000), (G711,)))
-loop.advance(0.1)
-sb.send_select(Selector(answers=first.id, address=None, codec=G711))
-loop.advance(0.1)
-ch2.link.down = True
-t0 = loop.now
-sa.send_describe(fa.descriptor(Address("10.0.0.1", 11002), (G711,)))
-base = sa.retransmits
-stale_trail = []
-for rel in (0.5, 1.5, 3.5):
-    loop.advance(t0 + rel - loop.now)
-    stale_trail.append([round(loop.now - t0, 6), sa.retransmits - base,
-                        sa.state, sa.failed])
-print(json.dumps({"backend": backend.describe()["backend"],
-                  "trail": trail, "stale_trail": stale_trail,
-                  "pending": loop.pending()},
-                 sort_keys=True))
-"""
-
-
-def _probe(backend_env):
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_BACKEND"}
-    env["REPRO_BACKEND"] = backend_env
-    env["PYTHONPATH"] = _SRC
-    proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(_BOUNDARY_PROBE)],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-@pytest.mark.skipif(not compiled_available(),
-                    reason="compiled backend not built "
-                           "(python tools/build_backend.py)")
-def test_boundary_identical_under_the_compiled_backend():
-    py = _probe("python")
-    cc = _probe("compiled")
-    assert py.pop("backend") == "python"
-    assert cc.pop("backend") == "compiled"
-    assert py == cc
-    assert py["trail"][-1] == [3.75, 3, True]
-    assert py["stale_trail"][-1] == [3.5, 2, "flowing", False]
-    assert py["pending"] == 0
