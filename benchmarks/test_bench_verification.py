@@ -10,7 +10,7 @@ temporal specification.
 import pytest
 
 from repro.verification import (PATH_TYPES, build_model, format_results,
-                                verify_all, verify_model)
+                                sweep, verify_all, verify_model)
 
 
 @pytest.mark.parametrize("path_type", sorted(PATH_TYPES))
@@ -53,8 +53,7 @@ def test_parallel_sweep_matches_serial(benchmark, reproduce):
     """The multiprocessing sweep driver returns the same verdicts and
     state counts as the serial sweep, in the same order."""
     serial = verify_all()
-    results = benchmark.pedantic(verify_all, kwargs={"parallel": True},
-                                 rounds=1, iterations=1)
+    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert [(r.key, r.states, r.transitions, r.ok) for r in results] \
         == [(r.key, r.states, r.transitions, r.ok) for r in serial]
     reproduce("parallel sweep", "matches serial", "yes", "yes")

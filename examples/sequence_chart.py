@@ -2,21 +2,26 @@
 """Regenerate Fig. 13 as a message-sequence chart.
 
 The scenario: starting from Snapshot 3 of Fig. 3, the PBX and the
-prepaid-card server change their flowlinks concurrently.  The tracer
-captures every signal crossing the three channels of the path
-A -- PBX -- PC -- C and renders the chart, which can be compared line
-by line with the paper's Fig. 13.
+prepaid-card server change their flowlinks concurrently.  The run's
+tracer records every signal; the chart keeps those sent on the path
+A -- PBX -- PC -- C from the relink on, which can be compared line by
+line with the paper's Fig. 13.
 
 Run:  python examples/sequence_chart.py
 """
 
+from collections import Counter
+
 from repro import AUDIO, FixedLatency, Network
 from repro.network.latency import PAPER_C, PAPER_N
-from repro.tools import SignalTracer
+from repro.obs import SignalSent, msc_chart
+
+PATH = ["A", "PBX", "PC", "C"]
 
 
 def main() -> None:
-    net = Network(seed=0, latency=FixedLatency(PAPER_N), cost=PAPER_C)
+    net = Network(seed=0, latency=FixedLatency(PAPER_N), cost=PAPER_C,
+                  trace=True)
     a = net.device("A")
     b = net.device("B", auto_accept=True)
     c = net.device("C")
@@ -47,9 +52,6 @@ def main() -> None:
     pc.hold_slot(mid_pc)
     net.settle()
 
-    # Trace only the signaling path of Fig. 13: A -- PBX -- PC -- C.
-    tracer = SignalTracer(net, channels=[ch_a, ch_mid, ch_c])
-
     def pbx_relink():
         pbx.hold_slot(sb)
         pbx.flow_link(sa, mid_pbx)
@@ -65,11 +67,11 @@ def main() -> None:
 
     print("Fig. 13 regenerated (times relative to the concurrent "
           "relink, n=34 ms, c=20 ms):\n")
-    # Shift times to the relink instant for readability.
-    for m in tracer.messages:
-        m.sent_at -= start
-    print(tracer.render(order=["A", "PBX", "PC", "C"], width=20))
-    print("\nsignal counts:", dict(sorted(tracer.summary().items())))
+    print(msc_chart(net.trace, order=PATH, width=20, since=start))
+    counts = Counter(e.kind for e in net.trace.events
+                     if isinstance(e, SignalSent) and e.ts >= start
+                     and e.source in PATH and e.target in PATH)
+    print("\nsignal counts:", dict(sorted(counts.items())))
     print("two-way media A<->C:", net.plane.two_way(a, c))
 
 

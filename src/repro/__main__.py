@@ -4,14 +4,14 @@ command line.
 Subcommands::
 
     python -m repro latency     # Secs. VIII-C / IX-B numbers
-    python -m repro verify      # the 12-model sweep (+ --rich, --two)
-    python -m repro sweep       # the parallel sweep CLI (see --help)
+    python -m repro verify      # the serial 12-model sweep
+                                # (+ --rich, --two)
+    python -m repro sweep       # the parallel sweep (see --help)
     python -m repro scenario    # Fig. 2 vs Fig. 3 snapshots
     python -m repro lint        # static analysis of the bundled
-                                # programs and models (see --help)
-    python -m repro audit       # static analysis of the runtime:
-                                # determinism, arena contracts
-                                # (see --help)
+                                # programs and models, and of the
+                                # runtime: determinism, arena
+                                # contracts, leak gate (see --help)
     python -m repro chaos       # the bundled apps under fault
                                 # injection (see --help)
     python -m repro trace       # record one app run and export its
@@ -49,10 +49,8 @@ import sys
 #: function defaults to ``main``.
 _DELEGATED = {
     "lint": ("repro.staticcheck.cli",
-             "static analysis of the bundled box programs and models"),
-    "audit": ("repro.audit.cli",
-              "audit the runtime itself: determinism hazards, "
-              "arena contracts (RC8xx)"),
+             "static analysis of the bundled box programs and models, "
+             "and of the runtime's determinism and arena contracts"),
     "chaos": ("repro.chaos.cli",
               "run the bundled apps under fault injection and check "
               "media convergence"),
@@ -90,7 +88,7 @@ def _dispatch(name: str, argv) -> int:
 #: The classic evaluation subcommands handled in this module.
 _BUILTIN = {
     "latency": "the Secs. VIII-C / IX-B latency numbers",
-    "verify": "the 12-model verification sweep (+ --rich, --two)",
+    "verify": "the serial 12-model verification sweep (+ --rich, --two)",
     "scenario": "the Fig. 2 vs Fig. 3 prepaid-card snapshots",
     "all": "latency + verify + scenario in sequence (default)",
 }
@@ -118,23 +116,13 @@ def run_latency() -> None:
           % ("SIP: bundled changes", bundled))
 
 
-def run_verify(rich: bool, two: bool, parallel: bool = False,
-               jobs=None, max_states=None) -> None:
+def run_verify(rich: bool, two: bool) -> None:
     from .verification import (blowup_table, format_results, sweep,
                                verify_all)
-    print("== verification (Sec. VIII-A%s) =="
-          % (", parallel sweep" if parallel else ""))
+    print("== verification (Sec. VIII-A) ==")
     kwargs = dict(phase1_budget=2, modify_budget=2, queue_capacity=8,
                   max_versions=4, max_states=5_000_000) if rich else {}
-    if max_states is not None:
-        kwargs["max_states"] = max_states
-    # An explicit --max-states is a smoke sweep: route it through the
-    # sweep driver so over-budget models come back truncated (marked in
-    # the table) instead of raising.
-    use_sweep = parallel or max_states is not None
-    processes = jobs if parallel else 1
-    results = verify_all(parallel=use_sweep, processes=processes,
-                         **kwargs)
+    results = verify_all(**kwargs)
     print(format_results(results))
     print("\nflowlink blow-up factors:")
     for key, f in sorted(blowup_table(results).items()):
@@ -142,9 +130,8 @@ def run_verify(rich: bool, two: bool, parallel: bool = False,
               % (key, f["memory_factor"], f["time_factor"]))
     if two:
         print("\ntwo-flowlink extension (infeasible for the paper):")
-        for r in sweep(flowlink_counts=(2,),
-                       max_states=max_states or 3_000_000,
-                       processes=jobs if parallel else 1):
+        for r in sweep(flowlink_counts=(2,), max_states=3_000_000,
+                       processes=1):
             print("    %-12s states=%7d  safety=%s spec=%s%s"
                   % (r.key, r.states,
                      "pass" if r.safety_ok else "FAIL",
@@ -210,14 +197,6 @@ def main(argv=None) -> int:
                         help="bigger verification budgets")
     parser.add_argument("--two", action="store_true",
                         help="include the two-flowlink extension")
-    parser.add_argument("--parallel", action="store_true",
-                        help="fan the verification sweep across cores")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker count for --parallel "
-                             "(default: one per core)")
-    parser.add_argument("--max-states", type=int, default=None,
-                        metavar="N",
-                        help="per-model state bound (smoke sweeps)")
     args = parser.parse_args(argv)
     if args.version:
         from . import __version__
@@ -227,8 +206,7 @@ def main(argv=None) -> int:
         run_latency()
         print()
     if args.command in ("verify", "all"):
-        run_verify(args.rich, args.two, parallel=args.parallel,
-                   jobs=args.jobs, max_states=args.max_states)
+        run_verify(args.rich, args.two)
         print()
     if args.command in ("scenario", "all"):
         run_scenario()

@@ -20,8 +20,8 @@ end-state fingerprints:
   re-describe, and retransmission annotations;
 * :mod:`~repro.obs.metrics` — counters and simulated-clock histograms
   (signal counts, retries, time-to-``bothFlowing`` percentiles);
-* :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON and plain-text
-  signaling timelines (cross-checked against :mod:`repro.tools.msc`).
+* :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON, plain-text
+  signaling timelines, and message-sequence charts (Figs. 10 and 13).
 
 Everything is keyed to the simulated clock, so one seed produces one
 byte-identical trace; and every emission site in the runtime is guarded
@@ -33,7 +33,8 @@ from .events import (ChannelEvent, FaultInjected, GoalEvent, ProgramStep,
                      Retransmit, SignalReceived, SignalSent, SlotDrop,
                      SlotFailed, SlotFailureRecord, SlotTransition,
                      TraceEvent, signal_label)
-from .export import chrome_trace, dumps_chrome, msc_lines, render_timeline
+from .export import (chrome_trace, dumps_chrome, msc_chart, msc_lines,
+                     render_timeline)
 from .metrics import Counter, Histogram, MetricsRegistry
 from .recorder import FlightRecorder
 from .spans import MediaChannelSpan, SpanTracker
@@ -47,5 +48,6 @@ __all__ = [
     "Tracer", "FlightRecorder",
     "MediaChannelSpan", "SpanTracker",
     "Counter", "Histogram", "MetricsRegistry",
-    "chrome_trace", "dumps_chrome", "msc_lines", "render_timeline",
+    "chrome_trace", "dumps_chrome", "msc_chart", "msc_lines",
+    "render_timeline",
 ]

@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "--timeline (signal, slot, goal, program, "
                              "fault, channel)")
     parser.add_argument("--msc", action="store_true",
-                        help="print the signal.send stream in MSC line "
-                             "format (diffable against tools/msc.py)")
+                        help="print the signal.send stream, one line "
+                             "per signal")
     parser.add_argument("--list-apps", action="store_true",
                         help="list the traceable applications and exit")
     return parser

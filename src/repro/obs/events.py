@@ -31,9 +31,9 @@ def signal_label(message: Any) -> str:
     """One-line label for a wire message, e.g. ``open(alice#0)`` or
     ``select(noMedia)``.
 
-    This is the canonical label shared with the MSC renderer
-    (:mod:`repro.tools.msc`), so a trace timeline and a message-sequence
-    chart of the same run agree line for line.
+    This is the canonical label of every trace renderer, so a trace
+    timeline and a message-sequence chart of the same run agree line
+    for line.
     """
     global _SIGNAL_TYPES
     if _SIGNAL_TYPES is None:

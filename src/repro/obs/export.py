@@ -12,15 +12,15 @@ keys are sorted, and track ids are allocated in first-appearance order,
 so one seed produces byte-identical output — the determinism tests
 compare whole files.
 
-:func:`msc_lines` renders the same ``signal.send`` stream in the exact
-line format of :class:`repro.tools.msc.TracedMessage`, so a trace and a
-message-sequence chart of one run can be diffed line for line.
+:func:`msc_lines` renders the ``signal.send`` stream one signal per
+line, and :func:`msc_chart` draws the same stream as a column chart in
+the style of the paper's message-sequence charts (Figs. 10 and 13).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from .events import (ChannelEvent, FaultInjected, GoalEvent, ProgramStep,
                      Retransmit, SignalReceived, SignalSent, SlotDrop,
@@ -28,7 +28,8 @@ from .events import (ChannelEvent, FaultInjected, GoalEvent, ProgramStep,
 from .spans import MediaChannelSpan
 from .tracer import Tracer
 
-__all__ = ["chrome_trace", "dumps_chrome", "render_timeline", "msc_lines"]
+__all__ = ["chrome_trace", "dumps_chrome", "render_timeline", "msc_lines",
+           "msc_chart"]
 
 #: Fixed process ids: one per track family, declared up front so the
 #: viewer groups related tracks together.
@@ -68,6 +69,15 @@ class _Tracks:
         return tid
 
 
+def _event_log(tracer: Tracer, exporter: str) -> List[TraceEvent]:
+    """The tracer's full event log; exporters cannot run without it."""
+    if tracer.events is None:
+        raise ValueError(
+            "%s needs the full event log; this Tracer was created with "
+            "keep_events=False" % exporter)
+    return tracer.events
+
+
 def _instant_track(event: TraceEvent) -> Optional[tuple]:
     """(pid, track name) for an instant event, or ``None`` to skip."""
     if isinstance(event, (SignalSent, SignalReceived, SlotDrop,
@@ -101,10 +111,7 @@ def chrome_trace(tracer: Tracer,
     Requires the tracer's full event log (``keep_events=True``).
     ``meta`` lands in ``otherData`` (app name, seed, fault plan...).
     """
-    if tracer.events is None:
-        raise ValueError(
-            "chrome_trace needs the full event log; this Tracer was "
-            "created with keep_events=False")
+    events = _event_log(tracer, "chrome_trace")
     tracks = {pid: _Tracks(pid) for pid in _PROCESS_NAMES}
     process_meta = [
         {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
@@ -114,7 +121,7 @@ def chrome_trace(tracer: Tracer,
     for span in tracer.spans.spans:
         tid = tracks[_PID_SPANS].tid("%s/%s" % (span.channel, span.tunnel))
         body.append(_span_event(span, tid, tracer.last_ts))
-    for event in tracer.events:
+    for event in events:
         where = _instant_track(event)
         if where is None:
             continue
@@ -154,13 +161,10 @@ def render_timeline(tracer: Tracer,
     """The full event stream, one line per event, optionally filtered to
     the given categories (``signal``, ``slot``, ``goal``, ``program``,
     ``fault``, ``channel``)."""
-    if tracer.events is None:
-        raise ValueError(
-            "render_timeline needs the full event log; this Tracer was "
-            "created with keep_events=False")
+    events = _event_log(tracer, "render_timeline")
     wanted = set(categories) if categories is not None else None
     lines = []
-    for event in tracer.events:
+    for event in events:
         if wanted is not None and event.category not in wanted:
             continue
         lines.append("%9.4f  %s" % (event.ts, event.describe()))
@@ -168,12 +172,39 @@ def render_timeline(tracer: Tracer,
 
 
 def msc_lines(tracer: Tracer) -> List[str]:
-    """The ``signal.send`` stream in :class:`repro.tools.msc.
-    TracedMessage` line format (``"%8.3f  src -> dst : label"``), for
-    cross-checking a trace against an MSC capture of the same run."""
-    if tracer.events is None:
-        raise ValueError(
-            "msc_lines needs the full event log; this Tracer was "
-            "created with keep_events=False")
+    """The ``signal.send`` stream, one ``"%8.3f  src -> dst : label"``
+    line per signal offered to the wire."""
     return ["%8.3f  %s -> %s : %s" % (e.ts, e.source, e.target, e.label)
-            for e in tracer.events if isinstance(e, SignalSent)]
+            for e in _event_log(tracer, "msc_lines")
+            if isinstance(e, SignalSent)]
+
+
+def msc_chart(tracer: Tracer, order: Optional[Sequence[str]] = None,
+              width: int = 16, since: float = 0.0) -> str:
+    """The ``signal.send`` stream as a text message-sequence chart: one
+    column per party, one arrow per signal sent at or after ``since``,
+    times in ms relative to ``since``.
+
+    ``order`` fixes the columns (default: first appearance); a signal
+    to or from a party outside it is left out, which is how a chart
+    shows one signaling path of a larger network.
+    """
+    sends = [e for e in _event_log(tracer, "msc_chart")
+             if isinstance(e, SignalSent) and e.ts >= since]
+    if order is None:
+        order = list(dict.fromkeys(name for e in sends
+                                   for name in (e.source, e.target)))
+    col = {name: i for i, name in enumerate(order)}
+    lines = ["t(ms)".rjust(9) + " "
+             + "".join(name.center(width) for name in order)]
+    for e in sends:
+        if e.source not in col or e.target not in col:
+            continue
+        a, b = col[e.source], col[e.target]
+        lo = min(a, b)
+        span = abs(a - b) * width
+        body = e.label[:span - 3].center(span - 2, "-")
+        arrow = (body + ">") if a < b else ("<" + body)
+        lines.append("%8.1f " % ((e.ts - since) * 1000.0)
+                     + " " * (lo * width + width // 2) + arrow)
+    return "\n".join(lines)

@@ -22,8 +22,8 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from ..staticcheck.diagnostics import Diagnostic
 from .determinism import SOURCE_DIR
+from .diagnostics import Diagnostic
 
 __all__ = ["ArenaSpec", "SPECS", "check_module_source", "check_arenas"]
 
@@ -132,7 +132,8 @@ def _mentions_attr_access(fn: ast.AST, attr: str) -> bool:
 
 
 def check_module_source(relpath: str, text: str) -> List[Diagnostic]:
-    """Audit one Python module's arena sites."""
+    """Check one Python module's arena sites (a module that does not
+    parse raises :class:`SyntaxError`)."""
     found: List[Diagnostic] = []
 
     def diag(code: str, lineno: int, message: str) -> None:
@@ -140,14 +141,7 @@ def check_module_source(relpath: str, text: str) -> List[Diagnostic]:
                                 program=_PROGRAM,
                                 state="%s:%d" % (relpath, lineno)))
 
-    try:
-        tree = ast.parse(text, filename=relpath)
-    except SyntaxError as exc:
-        diag("RC820", exc.lineno or 0,
-             "file failed to parse: %s" % exc)
-        return found
-
-    for fn in _functions(tree):
+    for fn in _functions(ast.parse(text, filename=relpath)):
         for spec in SPECS:
             aliases = _pool_aliases(fn, spec.pool_attr)
 

@@ -1,5 +1,7 @@
 """The self-hosted lint catalog: every bundled program, annotation
-profile, declared codec list, and verification model as a lint target.
+profile, declared codec list, and verification model as a lint target,
+plus the runtime itself (its arena sites and, per subpackage, its
+determinism hazards).
 
 The import direction is strictly ``staticcheck -> apps``: application
 modules expose their programs (or profile functions mirroring their
@@ -11,7 +13,11 @@ Suppressions are part of the catalog, not the rules: a target that
 deliberately violates a warning-level rule (the prepaid-card program
 cycles forever by design, Sec. IV-B) carries a
 :class:`~repro.staticcheck.diagnostics.Suppression` with its reason,
-and the reports keep showing what was waived.
+and the reports keep showing what was waived.  The determinism pass is
+split into one target per subpackage for the same reason: the load
+harness is *allowed* wall-clock reads (measuring throughput is its
+purpose) without that waiver covering a new clock read in
+``repro/network``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from .arenas import check_arenas
+from .determinism import check_tree, iter_source_files, subpackage_of
 from .diagnostics import Diagnostic, Suppression, split_suppressed
 from .graph import extract_states
 from .hygiene import CodecListDecl, SelectorCacheDecl, check_hygiene
@@ -26,7 +34,8 @@ from .pathlint import check_model
 from .rules import check_graph
 
 __all__ = ["LintTarget", "TargetReport", "app_targets", "model_targets",
-           "all_targets", "select_targets"]
+           "runtime_targets", "all_targets", "select_targets",
+           "DETERMINISM_WAIVERS"]
 
 
 @dataclass(frozen=True)
@@ -210,9 +219,61 @@ def model_targets() -> List[LintTarget]:
     return targets
 
 
+# ----------------------------------------------------------------------
+# runtime targets
+# ----------------------------------------------------------------------
+#: Per-subpackage waivers for the determinism pass.  Measurement code
+#: reads the wall clock on purpose; the waivers record why that is
+#: sound instead of silently skipping the files.
+DETERMINISM_WAIVERS: Dict[str, Tuple[Suppression, ...]] = {
+    "load": (
+        Suppression("RC810", "the load harness exists to measure "
+                    "wall-clock throughput; elapsed time is reported, "
+                    "never fed back into simulation state"),
+    ),
+    "chaos": (
+        Suppression("RC810", "chaos reports record wall-clock elapsed "
+                    "per run for operator visibility; convergence "
+                    "verdicts compare seeded fingerprints only"),
+    ),
+    "verification": (
+        Suppression("RC810", "the explorer's exploration budget is a "
+                    "wall-clock deadline by design; it can truncate a "
+                    "sweep but never alters a state's successors"),
+    ),
+    "livenet": (
+        Suppression("RC810", "the live transport bridges the simulated "
+                    "clock onto asyncio's wall clock by design (the "
+                    "pump anchor, reconnect backoff, gateway rate "
+                    "limiting); deterministic semantics stay pinned by "
+                    "the direction-wise journal parity fingerprints, "
+                    "not by timing"),
+        Suppression("RC813", "the serve CLI forwards the parent "
+                    "environment (plus PYTHONUNBUFFERED) when spawning "
+                    "the demo's second OS process; no simulation input "
+                    "is read from it"),
+    ),
+}
+
+
+def _determinism_run(sub: str) -> Callable[[], List[Diagnostic]]:
+    def run() -> List[Diagnostic]:
+        return check_tree(subpackage=sub)
+    return run
+
+
+def runtime_targets() -> List[LintTarget]:
+    """The arena pass, then one determinism target per subpackage."""
+    subs = sorted({subpackage_of(rel) for rel, _ in iter_source_files()})
+    return [LintTarget("runtime/arenas", check_arenas)] + [
+        LintTarget("runtime/determinism/%s" % sub, _determinism_run(sub),
+                   suppressions=DETERMINISM_WAIVERS.get(sub, ()))
+        for sub in subs]
+
+
 def all_targets() -> List[LintTarget]:
     """Every target ``python -m repro lint`` checks by default."""
-    return app_targets() + model_targets()
+    return app_targets() + model_targets() + runtime_targets()
 
 
 def select_targets(names: Sequence[str]) -> List[LintTarget]:

@@ -2,7 +2,8 @@
 
 Usage::
 
-    python -m repro lint                      # the whole catalog
+    python -m repro lint                      # the whole catalog: apps,
+                                              # models and the runtime
     python -m repro lint --list               # show target names
     python -m repro lint --list-rules         # the rule catalog with
                                               # one-line descriptions
@@ -11,10 +12,14 @@ Usage::
     python -m repro lint --fixtures           # the broken fixtures
                                               # (negative controls;
                                               # exits 1 by design)
+    python -m repro lint --leak-gate --runs 7 # replay a bundled app and
+                                              # gate on object-count
+                                              # stability
 
-Exit status: 0 when every selected target is clean, 1 when any
-unsuppressed diagnostic was found, 2 on usage errors (including an
-unknown ``--target`` name).
+Exit status: 0 when every selected target is clean (for
+``--leak-gate``: object counts stable), 1 when any unsuppressed
+diagnostic was found (or the gate saw growth), 2 on usage errors
+(including an unknown ``--target`` name).
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import sys
 from typing import List, Optional, Sequence, TextIO
 
 from .catalog import LintTarget, TargetReport, all_targets, select_targets
+from .diagnostics import format_rule_table
 from .fixtures import all_fixtures
+from .leakgate import run_leak_gate
 
 __all__ = ["build_parser", "main"]
 
@@ -34,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="Statically check the bundled box programs, codec "
-                    "declarations, and verification models")
+                    "declarations, verification models, and the "
+                    "runtime's determinism and arena contracts")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
     parser.add_argument("--target", action="append", default=None,
@@ -49,6 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fixtures", action="store_true",
                         help="lint the deliberately-broken fixtures "
                              "instead of the catalog (exits 1)")
+    parser.add_argument("--leak-gate", action="store_true",
+                        help="replay a bundled app and gate on "
+                             "object-count stability")
+    parser.add_argument("--runs", type=int, default=5, metavar="N",
+                        help="measured replays for --leak-gate "
+                             "(default 5, after 2 warmups)")
     return parser
 
 
@@ -102,10 +116,6 @@ def main(argv: Optional[Sequence[str]] = None,
     out = stream if stream is not None else sys.stdout
 
     if args.list_rules:
-        # The audit family registers its RC8xx codes at import time;
-        # pull it in so one flag prints the whole merged catalog.
-        from ..audit import codes as _audit_codes  # noqa: F401
-        from .diagnostics import format_rule_table
         out.write(format_rule_table())
         return 0
 
@@ -113,6 +123,15 @@ def main(argv: Optional[Sequence[str]] = None,
         for target in all_targets():
             out.write("%s\n" % target.name)
         return 0
+
+    if args.leak_gate:
+        report = run_leak_gate(runs=args.runs)
+        if args.format == "json":
+            json.dump(report.to_json(), out, indent=2, sort_keys=True)
+            out.write("\n")
+        else:
+            out.write(report.format() + "\n")
+        return 0 if report.stable else 1
 
     if args.fixtures:
         targets = _fixture_targets()

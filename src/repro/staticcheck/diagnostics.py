@@ -1,10 +1,11 @@
-"""Diagnostics, codes, and suppressions for the box-program linter.
+"""Diagnostics, codes, and suppressions for ``repro lint``.
 
 Every rule in :mod:`repro.staticcheck.rules`,
-:mod:`repro.staticcheck.hygiene`, and :mod:`repro.staticcheck.pathlint`
-emits :class:`Diagnostic` records with a stable ``RCxxx`` code, so that
-tooling (CI, editors, the cross-validation tests) can match on codes
-rather than message text.
+:mod:`repro.staticcheck.hygiene`, :mod:`repro.staticcheck.pathlint`,
+:mod:`repro.staticcheck.determinism` and
+:mod:`repro.staticcheck.arenas` emits :class:`Diagnostic` records with
+a stable ``RCxxx`` code, so that tooling (CI, editors, the
+cross-validation tests) can match on codes rather than message text.
 
 Code families::
 
@@ -17,25 +18,20 @@ Code families::
                               selector freshness)
     RC6xx  path models       (goal pair vs. temporal spec mismatch)
     RC7xx  robustness        (degradation paths under lossy networks)
-    RC8xx  runtime audit     (determinism hazards, arena
-                              contracts -- registered by
-                              :mod:`repro.audit.codes`)
+    RC81x  determinism       (hazards that break byte-identical traces)
+    RC82x  arena contracts   (freelist/pool acquire-reset-release)
 
-The code registry is shared between rule families:
-:func:`register_codes` lets the RC8xx runtime auditor add its codes
-and one-line descriptions at import time, and :func:`rule_table`
-renders the merged catalog for ``repro lint --list-rules`` /
-``repro audit --list-rules``.
+:func:`format_rule_table` renders the whole table for
+``repro lint --list-rules``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Diagnostic", "Suppression", "CODES", "DESCRIPTIONS",
-           "severity_of", "register_codes", "rule_table",
-           "format_rule_table"]
+           "severity_of", "format_rule_table", "split_suppressed"]
 
 #: Stable code → (title, severity).  Severity ``error`` marks a
 #: composition bug the paper's semantics rules out; ``warning`` marks a
@@ -55,11 +51,20 @@ CODES: Dict[str, Tuple[str, str]] = {
     "RC503": ("stale-selector", "error"),
     "RC601": ("spec-mismatch", "error"),
     "RC701": ("unhandled-slot-failure", "warning"),
+    "RC810": ("wall-clock-read", "error"),
+    "RC811": ("unseeded-random", "error"),
+    "RC812": ("unordered-iteration", "warning"),
+    "RC813": ("environ-read", "error"),
+    "RC814": ("float-eq-sim-time", "warning"),
+    "RC820": ("acquire-without-reset", "error"),
+    "RC821": ("release-without-reset", "error"),
+    "RC822": ("uncapped-release", "error"),
+    "RC823": ("rearm-without-fresh-seq", "error"),
 }
 
 #: Stable code → one-line description, rendered by ``--list-rules``.
-#: Every registered code must have one; the cross-validation tests
-#: keep the two maps in lockstep.
+#: Every code must have one; ``test_fixtures.py`` keeps the two maps
+#: in lockstep.
 DESCRIPTIONS: Dict[str, str] = {
     "RC101": "a program state has no path from the initial state",
     "RC102": "no reachable state terminates the program (END)",
@@ -79,36 +84,32 @@ DESCRIPTIONS: Dict[str, str] = {
     "RC601": "a goal pair disagrees with its temporal specification",
     "RC701": "no transition handles a slot failure in a state that "
              "holds one open",
+    "RC810": "a wall-clock read (time.time/perf_counter/...) at a "
+             "site that can perturb deterministic simulation",
+    "RC811": "a module-level random.* call draws from the unseeded "
+             "global RNG instead of a seeded Random instance",
+    "RC812": "iteration over a set/frozenset whose order is not "
+             "pinned (wrap in sorted())",
+    "RC813": "an os.environ/os.getenv read outside "
+             "repro.network.backend, the one sanctioned config seam",
+    "RC814": "a float literal compared with == / != against a "
+             "sim-time expression",
+    "RC820": "an arena acquire site does not re-arm every field the "
+             "reset contract requires",
+    "RC821": "an arena release site does not reset required fields or "
+             "releases cancelled tombstones",
+    "RC822": "an arena release site appends without the pool's cap "
+             "guard (unbounded growth)",
+    "RC823": "an event is re-armed (_loop set) without drawing a "
+             "fresh seq, breaking execution order",
 }
 
 
-def register_codes(codes: Dict[str, Tuple[str, str]],
-                   descriptions: Dict[str, str]) -> None:
-    """Merge another rule family into the shared registry.
-
-    Called at import time by :mod:`repro.audit.codes` so RC8xx
-    diagnostics resolve titles/severities through the same tables the
-    box-program linter uses, and ``--list-rules`` shows one catalog.
-    """
-    CODES.update(codes)
-    DESCRIPTIONS.update(descriptions)
-
-
-def rule_table() -> List[Tuple[str, str, str, str]]:
-    """The merged catalog as ``(code, title, severity, description)``
-    rows in code order."""
-    return [(code, title, severity, DESCRIPTIONS.get(code, ""))
-            for code, (title, severity) in sorted(CODES.items())]
-
-
-def format_rule_table(rows=None) -> str:
-    """Render ``--list-rules`` output (shared by lint and audit)."""
-    lines = []
-    for code, title, severity, description in (rule_table()
-                                               if rows is None else rows):
-        lines.append("%s  %-24s %-7s  %s"
-                     % (code, title, severity, description))
-    return "\n".join(lines) + "\n"
+def format_rule_table() -> str:
+    """Render ``--list-rules``: one line per code, in code order."""
+    return "".join("%s  %-24s %-7s  %s\n"
+                   % (code, title, severity, DESCRIPTIONS.get(code, ""))
+                   for code, (title, severity) in sorted(CODES.items()))
 
 
 def severity_of(code: str) -> str:
@@ -178,6 +179,3 @@ def split_suppressed(diagnostics: List[Diagnostic],
     active = [d for d in diagnostics if d.code not in waived]
     suppressed = [d for d in diagnostics if d.code in waived]
     return active, suppressed
-
-
-__all__.append("split_suppressed")

@@ -1,4 +1,5 @@
-"""Deliberately-broken miniature programs, one per diagnostic code.
+"""Deliberately-broken miniature programs and runtime sources, one per
+diagnostic code.
 
 Each fixture is the smallest program (or declaration) that triggers its
 code, with the expected location recorded so the test suite can assert
@@ -6,12 +7,15 @@ code, state name, and slot name — and so ``python -m repro lint
 --fixtures`` demonstrates every rule firing (expected exit status 1).
 
 These are the analyzer's negative controls: the catalog proves the
-bundled programs are clean, the fixtures prove the rules would have
-said so if they were not.
+bundled programs and the runtime are clean, the fixtures prove the
+rules would have said so if they were not.  The RC8xx controls are
+minimal broken sources modelled on the real hot-path sites, pushed
+through the very same checkers the catalog's runtime targets use.
 """
 
 from __future__ import annotations
 
+import textwrap
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -19,6 +23,8 @@ from ..core.predicates import is_closed, is_flowing
 from ..core.program import (END, State, Transition, close_slot, flow_link,
                             hold_slot, on_channel_down, on_meta, open_slot)
 from ..protocol.codecs import AUDIO, G711, G726, NO_MEDIA, VIDEO
+from .arenas import check_module_source
+from .determinism import check_source
 from .diagnostics import Diagnostic
 from .graph import extract_states
 from .hygiene import (CodecListDecl, SelectorCacheDecl, check_hygiene)
@@ -251,8 +257,93 @@ def _rc701() -> Fixture:
                    state="dialing", slot="s")
 
 
+# ----------------------------------------------------------------------
+# the runtime passes: one broken source per RC8xx code
+# ----------------------------------------------------------------------
+#: ``(code, checker, line the finding must point at, source)``.
+_RUNTIME_SOURCES = (
+    # A time.time() call injected into scheduler-adjacent code.
+    ("RC810", check_source, 4, """\
+        import time
+
+        def run_until(loop, deadline):
+            start = time.time()
+            while loop.pending():
+                loop.step()
+        """),
+    ("RC811", check_source, 4, """\
+        import random
+
+        def jitter(delay):
+            return delay + random.random() * 0.01
+        """),
+    ("RC812", check_source, 2, """\
+        def heard_by(listeners):
+            return [hear(x) for x in set(listeners)]
+        """),
+    ("RC813", check_source, 4, """\
+        import os
+
+        def pick_mode():
+            return os.environ.get("REPRO_MODE", "fast")
+        """),
+    ("RC814", check_source, 2, """\
+        def expired(loop):
+            return loop.now == 1.5
+        """),
+    # A freelist acquire that forgets the re-arm contract (no fresh
+    # seq, no callback, no _loop).
+    ("RC820", check_module_source, 4, """\
+        def transmit(self, target, message, when):
+            free = self._free
+            if free:
+                event = free.pop()
+                event.time = when
+                event.args = (message,)
+            else:
+                event = Event(when, 0, None, None, (message,), None)
+            return event
+        """),
+    # An envelope released into the pool still holding its signal.
+    ("RC821", check_module_source, 5, """\
+        def process(self, message):
+            deliver(message.signal)
+            pool = self._loop._env_pool
+            if len(pool) < _ENV_POOL_MAX:
+                pool.append(message)
+        """),
+    # A release with no cap guard: unbounded pool growth.
+    ("RC822", check_module_source, 5, """\
+        def process(self, message):
+            deliver(message.signal)
+            message.signal = None
+            pool = self._loop._env_pool
+            pool.append(message)
+        """),
+    # A re-arm that reuses the old seq: the recycled event would replay
+    # its previous position in the execution order.
+    ("RC823", check_module_source, 4, """\
+        def rearm(self, node, loop, when):
+            event = node._stim_event
+            event.time = when
+            event._loop = loop
+            return event
+        """),
+)
+
+
+def _runtime_fixture(code, check, line, source) -> Fixture:
+    relpath = "broken/%s.py" % code.lower()
+
+    def run() -> List[Diagnostic]:
+        return check(relpath, textwrap.dedent(source))
+    return Fixture("audit-%s" % code, code, run,
+                   state="%s:%d" % (relpath, line))
+
+
 def all_fixtures() -> List[Fixture]:
     """Every broken fixture, one per diagnostic code, in code order."""
     return [_rc101(), _rc102(), _rc103(), _rc201(), _rc202(), _rc203(),
             _rc301(), _rc302(), _rc401(), _rc501(), _rc502(), _rc503(),
-            _rc601(), _rc701()]
+            _rc601(), _rc701()] + [_runtime_fixture(*entry)
+                                   for entry in _RUNTIME_SOURCES]

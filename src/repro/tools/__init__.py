@@ -1,5 +1,1 @@
-"""Developer tooling: tracing and chart rendering."""
-
-from .msc import SignalTracer, TracedMessage
-
-__all__ = ["SignalTracer", "TracedMessage"]
+"""Developer tooling shared by the CLIs: bench-report helpers."""

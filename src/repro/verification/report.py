@@ -86,22 +86,12 @@ def verify_model(model: PathModel, max_states: int = 2_000_000,
         truncated=graph.truncated, violation_state=violation)
 
 
-def verify_all(max_states: int = 2_000_000, parallel: bool = False,
-               processes: Optional[int] = None,
+def verify_all(max_states: int = 2_000_000,
                max_seconds: Optional[float] = None,
                **model_kwargs) -> List[VerificationResult]:
-    """The full 12-model sweep (Sec. VIII-A).
-
-    ``parallel=True`` fans the models across a worker pool (see
-    :mod:`repro.verification.sweep`); results keep the serial order.
-    Parallel runs use ``on_truncate="mark"``, so a model that blows
-    ``max_states``/``max_seconds`` comes back truncated instead of
-    raising.
-    """
-    if parallel:
-        from .sweep import sweep
-        return sweep(max_states=max_states, max_seconds=max_seconds,
-                     processes=processes, **model_kwargs)
+    """The full 12-model sweep (Sec. VIII-A), serially, in report
+    order.  :func:`repro.verification.sweep.sweep` is the parallel
+    one."""
     return [verify_model(m, max_states=max_states,
                          max_seconds=max_seconds)
             for m in all_models(**model_kwargs)]

@@ -3,7 +3,7 @@ object population, and the gate's verdict arithmetic is sound."""
 
 import pytest
 
-from repro.audit.leakgate import LeakReport, run_leak_gate
+from repro.staticcheck.leakgate import LeakReport, run_leak_gate
 
 
 def test_click_to_dial_is_stable():

@@ -1,11 +1,13 @@
-"""Per-rule behavior of the audit passes: each determinism/arena rule
+"""Per-rule behavior of the runtime passes: each determinism/arena rule
 fires on its minimal trigger and stays quiet on the idiomatic legal
 form, and the shipped runtime comes back clean from the arena pass."""
 
 import textwrap
 
-from repro.audit.arenas import check_arenas, check_module_source
-from repro.audit.determinism import check_source, subpackage_of
+import pytest
+
+from repro.staticcheck.arenas import check_arenas, check_module_source
+from repro.staticcheck.determinism import check_source, subpackage_of
 
 
 def _codes(diagnostics):
@@ -101,6 +103,23 @@ def test_rc813_sanctioned_in_backend():
         POISON = os.environ.get("REPRO_ARENA_POISON")
         """))
     assert "RC813" not in _codes(found)
+
+
+def test_rc813_seam_is_matched_by_path():
+    # Only repro/network/backend.py is the seam, not every file that
+    # happens to be called backend.py.
+    found = check_source("livenet/backend.py",
+                         "import os\nos.environ.get('A')")
+    assert "RC813" in _codes(found)
+
+
+def test_parse_failure_raises():
+    # A broken file must not come back as an RC810 finding that a
+    # subpackage's wall-clock waiver would silence.
+    with pytest.raises(SyntaxError):
+        check_source("chaos/x.py", "def f(:")
+    with pytest.raises(SyntaxError):
+        check_module_source("network/x.py", "def f(:")
 
 
 def test_rc814_float_eq_sim_time():

@@ -3,18 +3,18 @@ at the expected state and slot."""
 
 import pytest
 
-# The registry is shared with the runtime auditor (RC8xx); importing
-# it here makes the registered-code set deterministic regardless of
-# which test module loaded first.
-from repro.audit import AUDIT_CODES
 from repro.staticcheck import CODES, all_fixtures
+from repro.staticcheck.diagnostics import DESCRIPTIONS
 
 FIXTURES = all_fixtures()
 
 
 def test_one_fixture_per_code():
-    native = set(CODES) - set(AUDIT_CODES)
-    assert sorted(f.code for f in FIXTURES) == sorted(native)
+    assert sorted(f.code for f in FIXTURES) == sorted(CODES)
+
+
+def test_every_code_has_a_description():
+    assert sorted(DESCRIPTIONS) == sorted(CODES)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES,

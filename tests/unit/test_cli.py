@@ -25,7 +25,7 @@ def test_help_lists_every_subcommand(capsys):
         repro_main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for name in ("latency", "verify", "scenario", "lint", "audit",
+    for name in ("latency", "verify", "scenario", "lint",
                  "chaos", "sweep", "trace", "serve", "call",
                  "live-demo", "all"):
         assert name in out
@@ -35,6 +35,19 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         repro_main(["frobnicate"])
     assert exc.value.code == 2
+    # The runtime passes run under ``repro lint``; there is no
+    # ``audit`` command.
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["audit"])
+    assert exc.value.code == 2
+
+
+def test_verify_has_no_parallel_flags(capsys):
+    # ``repro sweep`` is the one parallel front door.
+    for flags in (["--parallel"], ["--jobs", "2"], ["--max-states", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["verify"] + flags)
+        assert exc.value.code == 2
 
 
 def test_every_registry_target_resolves_to_a_callable():

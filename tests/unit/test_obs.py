@@ -270,29 +270,6 @@ def test_render_timeline_filters_by_category(traced_call):
     assert all(" signal." in line for line in signals.splitlines())
 
 
-def test_msc_lines_match_msc_tool(traced_call):
-    # The exporter's MSC view and a SignalTracer capture of the same
-    # run (same seed) must agree line for line.  The only difference is
-    # the channel-up meta: the trace tap is installed inside the channel
-    # constructor, before channel-up is offered to the wire, while a
-    # SignalTracer can only attach to an already-constructed channel.
-    from repro import FixedLatency
-    from repro.tools.msc import SignalTracer
-    net = Network(seed=5, latency=FixedLatency(0.01))
-    tracer = SignalTracer(net)
-    a = net.device("alice")
-    b = net.device("bob", auto_accept=True)
-    ch = net.channel(a, b)
-    tracer.attach(ch)
-    a.open(ch.initiator_end.slot(), AUDIO)
-    net.settle()
-    a.close(ch.initiator_end.slot())
-    net.settle()
-    trace_view = [line for line in msc_lines(traced_call.trace)
-                  if "channel-up" not in line]
-    assert trace_view == [str(m) for m in tracer.messages]
-
-
 def test_disabled_tracing_is_structurally_free():
     net = Network(seed=0)
     assert net.trace is None

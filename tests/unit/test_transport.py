@@ -320,15 +320,15 @@ def test_msc_tracer_sees_traffic_fault_plan_drops():
     # Observer hooks (appended, outermost) must see offered load even
     # when an innermost fault hook later drops every message.
     from repro import AUDIO, FaultPlan, Network
-    from repro.tools.msc import SignalTracer
+    from repro.obs import msc_lines
 
-    net = Network(seed=1, faults=FaultPlan(name="all-drop", drop=1.0))
+    net = Network(seed=1, faults=FaultPlan(name="all-drop", drop=1.0),
+                  trace=True)
     a = net.device("a")
     b = net.device("b", auto_accept=True)
     ch = net.channel(a, b)
-    tracer = SignalTracer(net, channels=[ch])
     a.open(ch.initiator_end.slot(), AUDIO)
     net.run(5.0)
-    offered = [m for m in tracer.messages if "open" in m.label]
+    offered = [line for line in msc_lines(net.trace) if ": open" in line]
     assert offered, "tracer must record signals the fault plan dropped"
     assert net.fault_stats.dropped > 0
