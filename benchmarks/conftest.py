@@ -12,13 +12,13 @@ Two reporting channels:
   so the perf trajectory is machine-readable across PRs.
 """
 
-import json
 import os
+import sys
 
 import pytest
 
+from repro.tools.bench import emit, load_baseline
 from repro.tools.bench import geomean as _geomean
-from repro.tools.bench import load_baseline
 
 _ROWS = []
 _PERF = {}
@@ -88,9 +88,7 @@ def _write_bench_json(path):
                 e.get("counts_match_seed", True) for e in models.values()),
         },
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    emit(path, payload, sys.stdout)
     return payload
 
 

@@ -1,32 +1,9 @@
 """``python -m repro`` — regenerate the paper's evaluation from the
 command line.
 
-Subcommands::
-
-    python -m repro latency     # Secs. VIII-C / IX-B numbers
-    python -m repro verify      # the serial 12-model sweep
-                                # (+ --rich, --two)
-    python -m repro sweep       # the parallel sweep (see --help)
-    python -m repro scenario    # Fig. 2 vs Fig. 3 snapshots
-    python -m repro lint        # static analysis of the bundled
-                                # programs and models, and of the
-                                # runtime: determinism, arena
-                                # contracts, leak gate (see --help)
-    python -m repro chaos       # the bundled apps under fault
-                                # injection (see --help)
-    python -m repro trace       # record one app run and export its
-                                # trace (see --help)
-    python -m repro load        # sharded call-load harness
-                                # (see --help)
-    python -m repro soak        # sustained-churn soak with memory
-                                # gates (see --help)
-    python -m repro serve       # run a live node: TCP signaling
-                                # listener + media gateway (see --help)
-    python -m repro call        # place a call through a running
-                                # gateway (see --help)
-    python -m repro live-demo   # two OS processes negotiate flowing
-                                # media over localhost, self-checked
-    python -m repro all         # latency + verify + scenario
+The subcommands are the entries of ``_BUILTIN`` and ``_DELEGATED``
+below; ``python -m repro --help`` lists them, and
+``python -m repro <name> --help`` shows a delegated one's own flags.
 
 Exit status is normalized across subcommands: 0 on success (for
 ``lint``: every target clean; for ``chaos``: every app converged), 1
@@ -117,17 +94,12 @@ def run_latency() -> None:
 
 
 def run_verify(rich: bool, two: bool) -> None:
-    from .verification import (blowup_table, format_results, sweep,
-                               verify_all)
+    from .verification import sweep, verify_all
+    from .verification.cli import print_results
     print("== verification (Sec. VIII-A) ==")
     kwargs = dict(phase1_budget=2, modify_budget=2, queue_capacity=8,
                   max_versions=4, max_states=5_000_000) if rich else {}
-    results = verify_all(**kwargs)
-    print(format_results(results))
-    print("\nflowlink blow-up factors:")
-    for key, f in sorted(blowup_table(results).items()):
-        print("    %-4s memory x%-7.1f time x%.1f"
-              % (key, f["memory_factor"], f["time_factor"]))
+    print_results(verify_all(**kwargs), sys.stdout)
     if two:
         print("\ntwo-flowlink extension (infeasible for the paper):")
         for r in sweep(flowlink_counts=(2,), max_states=3_000_000,
@@ -175,10 +147,6 @@ def _epilog() -> str:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["--version"]:
-        from . import __version__
-        print("repro %s" % __version__)
-        return 0
     if argv[:1] and argv[0] in _DELEGATED:
         return _dispatch(argv[0], argv[1:])
     parser = argparse.ArgumentParser(

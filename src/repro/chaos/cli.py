@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from typing import List, Optional, TextIO
 
-from ..network.faults import PLANS, FaultPlan, plan_by_name
+from ..network.faults import PLANS, FaultPlan
 from ..protocol.slot import RetransmitPolicy
-from ..tools.bench import write_text as _write_text
+from ..tools.bench import emit
 from .runner import ChaosResult, run_suite
 from .scenarios import SCENARIOS
 
@@ -43,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Drive the bundled applications over a lossy "
                     "network and verify that the media plane converges "
                     "to the fault-free fingerprint")
-    parser.add_argument("--plan", default="drop10+dup10", metavar="NAME",
+    parser.add_argument("--plan", default="drop10+dup10", choices=PLANS,
+                        metavar="NAME",
                         help="named fault plan (see --list-plans)")
     parser.add_argument("--drop", type=float, default=None,
                         metavar="P", help="override drop probability")
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7,
                         help="simulation seed (default 7)")
     parser.add_argument("--app", action="append", default=None,
-                        metavar="NAME",
+                        choices=SCENARIOS, metavar="NAME",
                         help="run only this app (repeatable; default: "
                              "all of %s)" % ", ".join(SCENARIOS))
     parser.add_argument("--no-retransmit", action="store_true",
@@ -71,14 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "app name is inserted before the "
                              "extension (out.json -> out.pbx.json)")
     parser.add_argument("--bench-json", default=None, metavar="PATH",
-                        help="write a benchmark summary to PATH")
+                        help="write a benchmark summary to PATH "
+                             "('-' for stdout)")
     parser.add_argument("--list-plans", action="store_true",
                         help="list the named fault plans and exit")
     return parser
 
 
 def _resolve_plan(args) -> FaultPlan:
-    plan = plan_by_name(args.plan)
+    plan = PLANS[args.plan]
     overrides = {name: getattr(args, name)
                  for name in ("drop", "duplicate", "reorder", "jitter")
                  if getattr(args, name) is not None}
@@ -133,22 +134,16 @@ def _bench_payload(results: List[ChaosResult], seed: int) -> dict:
 
 
 def main(argv: Optional[List[str]] = None,
-         out: TextIO = sys.stdout) -> int:
+         out: Optional[TextIO] = None) -> int:
+    out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_plans:
         for name in sorted(PLANS):
             print("%-14s %s" % (name, PLANS[name].describe()), file=out)
         return 0
-    try:
-        plan = _resolve_plan(args)
-    except KeyError as e:
-        parser.error(str(e))  # exits 2
+    plan = _resolve_plan(args)
     apps = args.app if args.app is not None else list(SCENARIOS)
-    unknown = [a for a in apps if a not in SCENARIOS]
-    if unknown:
-        parser.error("unknown app(s) %s (known: %s)"
-                     % (", ".join(unknown), ", ".join(SCENARIOS)))
     retransmit = None if args.no_retransmit else RetransmitPolicy()
     results = run_suite(apps=apps, plan=plan, seed=args.seed,
                         retransmit=retransmit,
@@ -158,22 +153,15 @@ def main(argv: Optional[List[str]] = None,
         for r in results:
             assert r.tracer is not None
             path = _trace_path(args.trace_json, r.app, len(results) > 1)
-            _write_text(path, dumps_chrome(r.tracer, meta={
+            emit(path, dumps_chrome(r.tracer, meta={
                 "app": r.app, "seed": r.seed, "plan": r.plan,
-                "converged": r.converged}))
+                "converged": r.converged}), out)
     if args.json:
-        payload = json.dumps([r.to_json() for r in results], indent=2,
-                             sort_keys=True)
-        if args.json == "-":
-            print(payload, file=out)
-        else:
-            _write_text(args.json, payload + "\n")
+        emit(args.json, [r.to_json() for r in results], out)
     if args.json != "-":
         _format_text(results, out)
     if args.bench_json:
-        _write_text(args.bench_json,
-                    json.dumps(_bench_payload(results, args.seed),
-                               indent=2, sort_keys=True) + "\n")
+        emit(args.bench_json, _bench_payload(results, args.seed), out)
     return 0 if all(r.converged for r in results) else 1
 
 

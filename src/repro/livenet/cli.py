@@ -33,6 +33,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..network.address import AddressError, parse_hostport
+from ..tools.bench import emit
 from .gateway import Gateway
 from .journal import host_for
 from .tcp import LiveNode
@@ -202,7 +203,7 @@ def call_main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
+        emit("-", result, sys.stdout)
     if status != 200 or not isinstance(result, dict):
         if not args.json:
             print("call failed: HTTP %d %s" % (status, result),
@@ -317,8 +318,7 @@ async def _demo(args: argparse.Namespace) -> int:
         failures.append("callee exited %s: %s"
                         % (proc.returncode, stderr.decode()[-400:]))
     if args.json:
-        print(json.dumps({"result": result, "failures": failures},
-                         indent=2, sort_keys=True))
+        emit("-", {"result": result, "failures": failures}, sys.stdout)
     if failures:
         for failure in failures:
             print("FAIL: %s" % failure, file=sys.stderr)

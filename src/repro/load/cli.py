@@ -9,17 +9,19 @@ Usage::
     python -m repro load --fault-plan drop10+dup10
     python -m repro load --scaling 1,2,4 --bench-json BENCH_load.json
     python -m repro load --calls 200 --shards 2 --bench-json -
-    python -m repro load --profile --profile-out load.pstats
 
 Shards are independent seeded batches (see
 :mod:`repro.load.harness`); ``--scaling`` repeats the run once per
-worker count so the benchmark report shows how throughput scales.
-``--profile`` runs the shards serially in-process under ``cProfile``
-and prints the top cumulative entries — the map for the next hot-path
-PR.
+worker count so the benchmark report shows how throughput scales.  A
+single-shard run executes serially in-process, so the stock profiler
+sees all of it::
+
+    python -m cProfile -s cumulative -m repro load --calls 1000
+    python -m cProfile -o load.pstats -m repro load --calls 1000
 
 Exit status: 0 when every shard completed, 1 when any shard errored,
-2 on usage errors (unknown topology, fault plan, or scaling list).
+2 on usage errors (unknown topology or fault plan, a count that is
+not positive).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Any, Dict, List, Optional, TextIO
 
 from ..network.backend import describe as _backend_describe
 from ..network.faults import PLANS
-from ..tools.bench import emit_json, load_baseline, speedup_vs_seed
-from .harness import LoadJob, LoadResult, default_jobs, run_jobs, summarize
+from ..tools.bench import emit, load_baseline, positive, speedup_vs_seed
+from .harness import LoadJob, default_jobs, run_jobs, summarize
 from .topologies import RELAY, TOPOLOGIES
 
 __all__ = ["build_parser", "main"]
@@ -44,6 +46,17 @@ _BASELINE_PATH = os.path.normpath(os.path.join(
     os.path.dirname(__file__), "..", "..", "..",
     "benchmarks", "baselines", "load_seed.json"))
 
+_count = positive(int)
+
+
+def shard_counts(text: str) -> List[int]:
+    """``--scaling``: comma-separated positive shard counts, sorted and
+    deduplicated."""
+    counts = sorted({_count(s) for s in text.split(",") if s.strip()})
+    if not counts:
+        raise ValueError(text)
+    return counts
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -51,17 +64,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Drive seeded call batches through app topologies "
                     "across a worker pool and report calls/sec, "
                     "signals/sec, and setup-latency percentiles")
-    parser.add_argument("--calls", type=int, default=1000, metavar="N",
+    parser.add_argument("--calls", type=_count, default=1000, metavar="N",
                         help="total calls per app (default 1000)")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
+    parser.add_argument("--shards", type=_count, default=1, metavar="N",
                         help="worker shards to split each app's calls "
                              "across (default 1)")
     parser.add_argument("--apps", action="append", default=None,
-                        metavar="NAME",
+                        choices=TOPOLOGIES, metavar="NAME",
                         help="topology to drive (repeatable; default: "
                              "%s; known: %s)"
                              % (RELAY, ", ".join(TOPOLOGIES)))
-    parser.add_argument("--fault-plan", default=None, metavar="NAME",
+    parser.add_argument("--fault-plan", default=None, choices=PLANS,
+                        metavar="NAME",
                         help="drive the load over a lossy network "
                              "(named plan, see 'repro chaos "
                              "--list-plans'; implies robust mode)")
@@ -71,54 +85,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run each configuration N times and keep "
                              "the best (benchmark discipline: the seed "
                              "baseline is a best-of too; default 1)")
-    parser.add_argument("--scaling", default=None, metavar="CSV",
+    parser.add_argument("--scaling", type=shard_counts, default=None,
+                        metavar="CSV",
                         help="comma-separated shard counts (e.g. 1,2,4) "
                              "to bench one after another; overrides "
                              "--shards")
     parser.add_argument("--bench-json", default=None, metavar="PATH",
                         help="write the benchmark report to PATH "
                              "('-' for stdout)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run the shards serially in-process under "
-                             "cProfile and print the top cumulative "
-                             "entries")
-    parser.add_argument("--profile-top", type=int, default=20,
-                        metavar="N",
-                        help="rows of profile output (default 20)")
-    parser.add_argument("--profile-out", default=None, metavar="PATH",
-                        help="dump the raw pstats data to PATH "
-                             "(implies --profile)")
     return parser
 
 
-def _run_once(jobs: List[LoadJob],
-              processes: Optional[int] = None) -> Dict[str, Any]:
+def _run_once(jobs: List[LoadJob]) -> Dict[str, Any]:
     start = time.perf_counter()
-    results = run_jobs(jobs, processes=processes)
+    results = run_jobs(jobs)
     return summarize(results, time.perf_counter() - start)
-
-
-def _profiled_run(jobs: List[LoadJob], top: int,
-                  profile_out: Optional[str],
-                  out: TextIO) -> Dict[str, Any]:
-    import cProfile
-    import pstats
-    from .harness import _run_job
-    profile = cProfile.Profile()
-    start = time.perf_counter()
-    profile.enable()
-    results = [_run_job(job) for job in jobs]
-    profile.disable()
-    summary = summarize(results, time.perf_counter() - start)
-    if profile_out:
-        parent = os.path.dirname(profile_out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        profile.dump_stats(profile_out)
-        print("pstats data -> %s" % profile_out, file=out)
-    stats = pstats.Stats(profile, stream=out)
-    stats.sort_stats("cumulative").print_stats(top)
-    return summary
 
 
 def _bench_payload(runs: Dict[int, Dict[str, Any]], apps: List[str],
@@ -180,70 +161,42 @@ def _format_run(shards: int, run: Dict[str, Any], out: TextIO) -> None:
 
 
 def main(argv: Optional[List[str]] = None,
-         out: TextIO = sys.stdout) -> int:
+         out: Optional[TextIO] = None) -> int:
+    out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
     apps = args.apps if args.apps is not None else [RELAY]
-    unknown = [a for a in apps if a not in TOPOLOGIES]
-    if unknown:
-        parser.error("unknown topology(s) %s (known: %s)"
-                     % (", ".join(unknown), ", ".join(TOPOLOGIES)))
-    if args.fault_plan is not None and args.fault_plan not in PLANS:
-        parser.error("unknown fault plan %r (known: %s)"
-                     % (args.fault_plan, ", ".join(sorted(PLANS))))
-    if args.calls < 1 or args.shards < 1:
-        parser.error("--calls and --shards must be >= 1")
-    profile = args.profile or args.profile_out is not None
-    if args.scaling is not None:
-        try:
-            shard_counts = sorted({int(s) for s in
-                                   args.scaling.split(",") if s.strip()})
-        except ValueError:
-            shard_counts = []
-        if not shard_counts or any(n < 1 for n in shard_counts):
-            parser.error("--scaling wants a comma-separated list of "
-                         "positive shard counts, e.g. 1,2,4")
-    else:
-        shard_counts = [args.shards]
+    shard_list = args.scaling or [args.shards]
 
     runs: Dict[int, Dict[str, Any]] = {}
     print("%7s %8s %9s %11s %12s %10s %10s"
           % ("shards", "calls", "wall(s)", "calls/sec", "signals/sec",
              "p50 sim", "p95 sim"), file=out)
-    for shards in shard_counts:
+    for shards in shard_list:
         jobs = default_jobs(apps=apps, calls=args.calls, shards=shards,
                             seed=args.seed, plan=args.fault_plan)
-        if profile:
-            # One instrumented pass; best-of makes no sense under the
-            # profiler's own overhead.
-            runs[shards] = _profiled_run(jobs, args.profile_top,
-                                         args.profile_out, out)
-        else:
-            attempts = [_run_once(jobs)
-                        for _ in range(max(1, args.repeat))]
-            best = max(attempts,
-                       key=lambda r: r["calls_per_sec"] or 0.0)
-            if len(attempts) > 1:
-                best["repeats"] = len(attempts)
-                best["calls_per_sec_runs"] = sorted(
-                    (r["calls_per_sec"] for r in attempts
-                     if r["calls_per_sec"]), reverse=True)
-                # Best-of applies per statistic: the attempt with the
-                # best sustained rate is not always the one with the
-                # best 50-call window, and the window is the noise-
-                # robust statistic the baselines record.
-                windows = [r.get("calls_per_sec_best_window")
-                           for r in attempts]
-                windows = [w for w in windows if w]
-                if windows:
-                    best["calls_per_sec_best_window"] = max(windows)
-            runs[shards] = best
+        attempts = [_run_once(jobs) for _ in range(max(1, args.repeat))]
+        best = max(attempts, key=lambda r: r["calls_per_sec"] or 0.0)
+        if len(attempts) > 1:
+            best["repeats"] = len(attempts)
+            best["calls_per_sec_runs"] = sorted(
+                (r["calls_per_sec"] for r in attempts
+                 if r["calls_per_sec"]), reverse=True)
+            # Best-of applies per statistic: the attempt with the best
+            # sustained rate is not always the one with the best
+            # 50-call window, and the window is the noise-robust
+            # statistic the baselines record.
+            windows = [r["calls_per_sec_best_window"] for r in attempts
+                       if r.get("calls_per_sec_best_window")]
+            if windows:
+                best["calls_per_sec_best_window"] = max(windows)
+        runs[shards] = best
         _format_run(shards, runs[shards], out)
 
     if args.bench_json:
-        emit_json(args.bench_json,
-                  _bench_payload(runs, apps, args.calls, args.seed,
-                                 args.fault_plan), out=out)
+        emit(args.bench_json,
+             _bench_payload(runs, apps, args.calls, args.seed,
+                            args.fault_plan), out)
     return 0 if all(r["ok"] for r in runs.values()) else 1
 
 

@@ -1,23 +1,25 @@
 """The sharded load harness: seeded scenario batches across a worker
 pool.
 
-Mirrors :mod:`repro.verification.sweep` — picklable job specs, a
-``multiprocessing`` pool with a serial fallback — but drives the
-*runtime* instead of the model checker: each shard runs a batch of
-calls through one topology (see :mod:`repro.load.topologies`) on its
-own seeded network, so shards are independent and the whole run is
-deterministic in everything but wall-clock fields.
+Shares its driver with :mod:`repro.verification.sweep` — picklable
+job specs on the crash-safe pool of :func:`repro.tools.pool.map_jobs`
+— but drives the *runtime* instead of the model checker: each shard
+runs a batch of calls through one topology (see
+:mod:`repro.load.topologies`) on its own seeded network, so shards are
+independent and the whole run is deterministic in everything but
+wall-clock fields.  A shard whose worker died comes back as an error
+tombstone, so the run reports not-ok instead of hanging.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 from ..network.backend import describe as _backend_describe
 from ..obs.metrics import MetricsRegistry
 from ..tools.bench import exact_percentiles
+from ..tools.pool import map_jobs
 from .topologies import RELAY, TOPOLOGIES
 
 __all__ = ["LoadJob", "LoadResult", "default_jobs", "run_jobs",
@@ -144,35 +146,9 @@ def run_jobs(jobs: Sequence[LoadJob],
              processes: Optional[int] = None) -> List[LoadResult]:
     """Run ``jobs`` across ``processes`` workers (default: one per
     core, capped at the job count).  ``processes<=1`` runs serially.
-
-    A worker that dies mid-run (OOM kill, segfault) must not hang the
-    harness: per-job futures surface ``BrokenProcessPool`` for every
-    shard the dead worker took down, and those shards come back as
-    error tombstones next to the completed shards' real results.
-    """
-    jobs = list(jobs)
-    if processes is None:
-        processes = min(len(jobs), os.cpu_count() or 1)
-    if processes <= 1 or len(jobs) <= 1:
-        return [_run_job(job) for job in jobs]
-    try:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        ctx = multiprocessing.get_context()
-        results: List[LoadResult] = []
-        with ProcessPoolExecutor(max_workers=processes,
-                                 mp_context=ctx) as pool:
-            futures = [pool.submit(_run_job, job) for job in jobs]
-            for job, future in zip(jobs, futures):
-                try:
-                    results.append(future.result())
-                except BrokenProcessPool:
-                    results.append(_dead_shard_result(job))
-        return results
-    except (ImportError, OSError, PermissionError, ValueError):
-        # No usable worker pool on this platform: degrade gracefully.
-        return [_run_job(job) for job in jobs]
+    A shard whose worker died comes back as :func:`_dead_shard_result`
+    next to the completed shards' real results."""
+    return map_jobs(_run_job, jobs, processes, _dead_shard_result)
 
 
 def _merged_percentiles(results: Sequence[LoadResult],

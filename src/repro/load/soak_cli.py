@@ -29,7 +29,7 @@ import time
 from typing import Any, Dict, List, Optional, TextIO
 
 from ..network.backend import describe as _backend_describe
-from ..tools.bench import emit_json
+from ..tools.bench import emit, positive
 from .soak import SOAK_PROFILES, run_soak
 
 __all__ = ["build_parser", "main"]
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "arrivals, heavy-hitter tenants, admission control) "
                     "and gate on memory stability and safe shedding")
     parser.add_argument("--profile", action="append", default=None,
-                        metavar="NAME",
+                        choices=SOAK_PROFILES, metavar="NAME",
                         help="soak profile to run (repeatable; default "
                              "steady; known: %s)"
                              % ", ".join(SOAK_PROFILES))
@@ -50,10 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="list the named profiles and exit")
     parser.add_argument("--seed", type=int, default=7,
                         help="simulation seed (default 7)")
-    parser.add_argument("--epochs", type=int, default=None, metavar="N",
+    parser.add_argument("--epochs", type=positive(int), default=None,
+                        metavar="N",
                         help="override the profile's sampling epochs")
-    parser.add_argument("--epoch-seconds", type=float, default=None,
-                        metavar="S",
+    parser.add_argument("--epoch-seconds", type=positive(float),
+                        default=None, metavar="S",
                         help="override the simulated seconds per epoch")
     parser.add_argument("--no-gate", action="store_true",
                         help="skip the memory-stability gate (report "
@@ -97,21 +98,14 @@ def _format_report(report: Dict[str, Any], out: TextIO) -> None:
 
 
 def main(argv: Optional[List[str]] = None,
-         out: TextIO = sys.stdout) -> int:
+         out: Optional[TextIO] = None) -> int:
+    out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_profiles:
         _list_profiles(out)
         return 0
     names = args.profile if args.profile else ["steady"]
-    unknown = [n for n in names if n not in SOAK_PROFILES]
-    if unknown:
-        parser.error("unknown profile(s) %s (known: %s)"
-                     % (", ".join(unknown), ", ".join(SOAK_PROFILES)))
-    if args.epochs is not None and args.epochs < 1:
-        parser.error("--epochs must be >= 1")
-    if args.epoch_seconds is not None and args.epoch_seconds <= 0:
-        parser.error("--epoch-seconds must be > 0")
 
     runs: Dict[str, Dict[str, Any]] = {}
     for name in names:
@@ -148,7 +142,7 @@ def main(argv: Optional[List[str]] = None,
                     for r in runs.values()),
             },
         }
-        emit_json(args.bench_json, payload, out=out)
+        emit(args.bench_json, payload, out)
     return 0 if all(r["ok"] for r in runs.values()) else 1
 
 

@@ -28,29 +28,18 @@ trace is still exported — that is the point of a flight recorder),
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from ..chaos.scenarios import SCENARIOS
-from ..network.faults import PLANS, FaultPlan, plan_by_name
+from ..network.faults import PLANS, FaultPlan
 from ..network.network import Network
 from ..protocol.slot import RetransmitPolicy
+from ..tools.bench import emit
 from .export import dumps_chrome, msc_lines, render_timeline
 from .tracer import Tracer
 
 __all__ = ["build_parser", "run_traced", "main"]
-
-
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, creating parent directories so
-    ``--json`` accepts paths under directories that do not exist yet."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,12 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run one bundled application with tracing on and "
                     "export the result (Chrome trace_event JSON, text "
                     "timeline, or MSC lines)")
-    parser.add_argument("app", nargs="?", metavar="APP",
+    parser.add_argument("app", nargs="?", choices=SCENARIOS, metavar="APP",
                         help="application to trace (one of %s)"
                              % ", ".join(SCENARIOS))
     parser.add_argument("--seed", type=int, default=7,
                         help="simulation seed (default 7)")
-    parser.add_argument("--plan", default=None, metavar="NAME",
+    parser.add_argument("--plan", default=None, choices=PLANS,
+                        metavar="NAME",
                         help="run under this named fault plan "
                              "(robust mode is then on unless "
                              "--no-retransmit)")
@@ -180,16 +170,7 @@ def main(argv: Optional[List[str]] = None,
         return 0
     if args.app is None:
         parser.error("missing APP (see --list-apps)")
-    if args.app not in SCENARIOS:
-        parser.error("unknown app %r (known: %s)"
-                     % (args.app, ", ".join(SCENARIOS)))
-    plan: Optional[FaultPlan] = None
-    if args.plan is not None:
-        try:
-            plan = plan_by_name(args.plan)
-        except KeyError:
-            parser.error("unknown plan %r (known: %s)"
-                         % (args.plan, ", ".join(sorted(PLANS))))
+    plan = PLANS[args.plan] if args.plan is not None else None
     retransmit = None
     if plan is not None and not args.no_retransmit:
         retransmit = RetransmitPolicy()
@@ -200,12 +181,8 @@ def main(argv: Optional[List[str]] = None,
     assert tracer is not None
 
     if args.json:
-        payload = dumps_chrome(tracer, meta=_trace_meta(args.app, args,
-                                                        plan))
-        if args.json == "-":
-            out.write(payload)
-        else:
-            _write_text(args.json, payload)
+        emit(args.json, dumps_chrome(tracer, meta=_trace_meta(
+            args.app, args, plan)), out)
     if args.msc:
         for line in msc_lines(tracer):
             print(line, file=out)

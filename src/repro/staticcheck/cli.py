@@ -25,10 +25,10 @@ diagnostic was found (or the gate saw growth), 2 on usage errors
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import List, Optional, Sequence, TextIO
+from typing import Dict, List, Optional, Sequence, TextIO
 
+from ..tools.bench import emit, positive
 from .catalog import LintTarget, TargetReport, all_targets, select_targets
 from .diagnostics import format_rule_table
 from .fixtures import all_fixtures
@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--leak-gate", action="store_true",
                         help="replay a bundled app and gate on "
                              "object-count stability")
-    parser.add_argument("--runs", type=int, default=5, metavar="N",
+    parser.add_argument("--runs", type=positive(int), default=None,
+                        metavar="N",
                         help="measured replays for --leak-gate "
                              "(default 5, after 2 warmups)")
     return parser
@@ -68,6 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fixture_targets() -> List[LintTarget]:
     return [LintTarget(f.name, f.run) for f in all_fixtures()]
+
+
+def _summary(reports: Sequence[TargetReport]) -> Dict[str, int]:
+    def active(severity: str) -> int:
+        return sum(1 for r in reports for d in r.active
+                   if d.severity == severity)
+    return {"targets": len(reports), "errors": active("error"),
+            "warnings": active("warning"),
+            "suppressed": sum(len(r.suppressed) for r in reports)}
 
 
 def _render_text(reports: Sequence[TargetReport],
@@ -84,35 +94,22 @@ def _render_text(reports: Sequence[TargetReport],
                            if s.code == diagnostic.code), "")
             stream.write("    suppressed %s: %s\n"
                          % (diagnostic.code, reason))
-    errors = sum(1 for r in reports for d in r.active
-                 if d.severity == "error")
-    warnings = sum(1 for r in reports for d in r.active
-                   if d.severity == "warning")
-    stream.write("%d target(s): %d error(s), %d warning(s)\n"
-                 % (len(reports), errors, warnings))
+    stream.write("%(targets)d target(s): %(errors)d error(s), "
+                 "%(warnings)d warning(s)\n" % _summary(reports))
 
 
 def _render_json(reports: Sequence[TargetReport],
                  stream: TextIO) -> None:
-    payload = {
-        "targets": [r.to_json() for r in reports],
-        "summary": {
-            "targets": len(reports),
-            "errors": sum(1 for r in reports for d in r.active
-                          if d.severity == "error"),
-            "warnings": sum(1 for r in reports for d in r.active
-                            if d.severity == "warning"),
-            "suppressed": sum(len(r.suppressed) for r in reports),
-        },
-    }
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    emit("-", {"targets": [r.to_json() for r in reports],
+               "summary": _summary(reports)}, stream)
 
 
 def main(argv: Optional[Sequence[str]] = None,
          stream: Optional[TextIO] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)  # exits 2 on usage errors
+    if args.runs is not None and not args.leak_gate:
+        parser.error("--runs needs --leak-gate")
     out = stream if stream is not None else sys.stdout
 
     if args.list_rules:
@@ -125,10 +122,9 @@ def main(argv: Optional[Sequence[str]] = None,
         return 0
 
     if args.leak_gate:
-        report = run_leak_gate(runs=args.runs)
+        report = run_leak_gate(runs=args.runs or 5)
         if args.format == "json":
-            json.dump(report.to_json(), out, indent=2, sort_keys=True)
-            out.write("\n")
+            emit("-", report.to_json(), out)
         else:
             out.write(report.format() + "\n")
         return 0 if report.stable else 1

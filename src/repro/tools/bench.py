@@ -1,27 +1,35 @@
-"""Shared benchmark-report plumbing.
+"""Shared report and argument plumbing for the CLIs.
 
-Every CLI that records a perf trajectory (``repro sweep --json``,
-``repro chaos --bench-json``, ``repro load --bench-json``, and the
-benchmark suite's ``--bench-json`` hook) needs the same three moves:
-write a report under a path whose parent may not exist yet, load the
-recorded seed baseline (tolerating its absence), and reduce a set of
-speedups to one geomean.  They live here once.
+Every subcommand that writes a report or a trace (``repro sweep``,
+``chaos``, ``trace``, ``load``, ``soak`` and ``lint``) and the
+benchmark suite's ``--bench-json`` hook write it through :func:`emit`;
+every count or duration flag that must be above zero parses with
+:func:`positive`.  The perf reports also share the baseline loader,
+the exact percentiles, the geomean and the speedup guard.  They live
+here once.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Sequence, TextIO
+from typing import Any, Callable, Dict, Optional, Sequence, TextIO
 
-__all__ = ["write_text", "emit_json", "load_baseline", "geomean",
-           "speedup_vs_seed"]
+__all__ = ["emit", "positive", "load_baseline", "exact_percentiles",
+           "geomean", "speedup_vs_seed"]
 
 
-def write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, creating parent directories so
-    report/trace flags accept paths under directories that do not exist
-    yet (CI scratch dirs, for instance)."""
+def emit(path: str, data: Any, out: TextIO) -> None:
+    """Write a report to ``path``, or to ``out`` when ``path`` is
+    ``"-"``.  A ``str`` is written verbatim; anything else as sorted,
+    indented JSON with a trailing newline, so reports stay diffable.
+    Parent directories are created, so report flags accept paths under
+    directories that do not exist yet (CI scratch dirs, for instance)."""
+    text = data if isinstance(data, str) \
+        else json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if path == "-":
+        out.write(text)
+        return
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -29,16 +37,17 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def emit_json(path: str, payload: Any, out: Optional[TextIO] = None) -> None:
-    """Serialize ``payload`` to ``path``, treating ``"-"`` as ``out``
-    (stdout by default).  Reports stay diffable: sorted keys, indented,
-    trailing newline."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path == "-":
-        import sys
-        (out if out is not None else sys.stdout).write(text)
-    else:
-        write_text(path, text)
+def positive(cast: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse ``type=`` that parses with ``cast`` and rejects
+    values that are not above zero (argparse then exits 2 with
+    "invalid positive int value")."""
+    def parse(text: str) -> Any:
+        value = cast(text)
+        if not value > 0:
+            raise ValueError(text)
+        return value
+    parse.__name__ = "positive " + cast.__name__
+    return parse
 
 
 def load_baseline(path: str, key: Optional[str] = None) -> Dict[str, Any]:

@@ -27,16 +27,16 @@ truncation), 1 otherwise, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from typing import Any, Dict, List, Optional, TextIO
 
-from ..tools.bench import write_text as _write_text
+from ..tools.bench import emit
 from .models import PATH_TYPES
 from .report import VerificationResult, blowup_table, format_results
 from .sweep import default_jobs, run_jobs
 
-__all__ = ["build_parser", "sweep_trace", "main"]
+__all__ = ["build_parser", "sweep_trace", "print_results", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--two", action="store_true",
                         help="include the two-flowlink extension models")
     parser.add_argument("--path-type", action="append", default=None,
-                        metavar="NAME",
+                        choices=PATH_TYPES, metavar="NAME",
                         help="restrict to this path type (repeatable; "
                              "default: all of %s)" % ", ".join(PATH_TYPES))
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -104,19 +104,16 @@ def sweep_trace(results: List[VerificationResult]) -> Dict[str, Any]:
                           "total_elapsed": round(cursor, 6)}}
 
 
-def _results_json(results: List[VerificationResult]) -> List[Dict[str, Any]]:
-    return [{
-        "key": r.key,
-        "property_kind": r.property_kind,
-        "states": r.states,
-        "transitions": r.transitions,
-        "elapsed": r.elapsed,
-        "memory_proxy": r.memory_proxy,
-        "safety_ok": r.safety_ok,
-        "property_ok": r.property_ok,
-        "truncated": r.truncated,
-        "violation_state": r.violation_state,
-    } for r in results]
+def print_results(results: List[VerificationResult], out: TextIO) -> None:
+    """The results table, then the flowlink blow-up factors of every
+    path type swept both with and without a flowlink."""
+    print(format_results(results), file=out)
+    table = blowup_table(results)
+    if table:
+        print("\nflowlink blow-up factors:", file=out)
+        for key, f in sorted(table.items()):
+            print("    %-4s memory x%-7.1f time x%.1f"
+                  % (key, f["memory_factor"], f["time_factor"]), file=out)
 
 
 def main(argv: Optional[List[str]] = None,
@@ -124,40 +121,17 @@ def main(argv: Optional[List[str]] = None,
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    path_types = args.path_type
-    if path_types is not None:
-        unknown = [p for p in path_types if p not in PATH_TYPES]
-        if unknown:
-            parser.error("unknown path type(s) %s (known: %s)"
-                         % (", ".join(unknown), ", ".join(PATH_TYPES)))
     counts = (0, 1, 2) if args.two else (0, 1)
-    jobs = default_jobs(flowlink_counts=counts, path_types=path_types,
+    jobs = default_jobs(flowlink_counts=counts, path_types=args.path_type,
                         max_states=args.max_states,
                         max_seconds=args.max_seconds)
     results = run_jobs(jobs, processes=args.jobs)
-    if args.json == "-":
-        print(json.dumps(_results_json(results), indent=2,
-                         sort_keys=True), file=out)
-    else:
-        print(format_results(results), file=out)
-        table = blowup_table(results)
-        if table:
-            print("\nflowlink blow-up factors:", file=out)
-            for key, f in sorted(table.items()):
-                print("    %-4s memory x%-7.1f time x%.1f"
-                      % (key, f["memory_factor"], f["time_factor"]),
-                      file=out)
-        if args.json:
-            _write_text(args.json, json.dumps(_results_json(results),
-                                              indent=2,
-                                              sort_keys=True) + "\n")
+    if args.json != "-":
+        print_results(results, out)
+    if args.json:
+        emit(args.json, [dataclasses.asdict(r) for r in results], out)
     if args.trace_json:
-        payload = json.dumps(sweep_trace(results), indent=2,
-                             sort_keys=True) + "\n"
-        if args.trace_json == "-":
-            out.write(payload)
-        else:
-            _write_text(args.trace_json, payload)
+        emit(args.trace_json, sweep_trace(results), out)
     return 0 if all(r.ok for r in results) else 1
 
 

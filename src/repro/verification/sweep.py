@@ -2,27 +2,26 @@
 
 The 12-model sweep (and the 6 two-flowlink extension models) are
 embarrassingly parallel — each model's exploration is independent — so
-this driver distributes them over a :mod:`multiprocessing` pool.  Each
-job rebuilds its model inside the worker from a small picklable spec
-(path type, flowlink count, model kwargs) and runs
+this driver hands them to the shared crash-safe worker pool
+(:func:`repro.tools.pool.map_jobs`).  Each job rebuilds its model
+inside the worker from a small picklable spec (path type, flowlink
+count, model kwargs) and runs
 :func:`~repro.verification.report.verify_model` with a per-model state
 bound and optional wall-clock timeout; a model that blows either budget
 comes back as a *truncated* :class:`VerificationResult` rather than
-stalling the whole sweep.
+stalling the whole sweep, and so does a model whose worker died.
 
 Results always come back in job order, so
 :func:`~repro.verification.report.format_results` and
 :func:`~repro.verification.report.blowup_table` consume them exactly as
-they consume the serial sweep's output.  On platforms where worker
-pools cannot be created (sandboxes without semaphores, for instance)
-the driver degrades to an in-process serial run with identical results.
+they consume the serial sweep's output.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from ..tools.pool import map_jobs
 from .models import PATH_TYPES, build_model
 from .report import VerificationResult, verify_model
 
@@ -40,10 +39,13 @@ class SweepJob(NamedTuple):
     model_kwargs: Tuple[Tuple[str, object], ...] = ()
 
 
+def _build(job: SweepJob):
+    return build_model(job.path_type, flowlinks=job.flowlinks,
+                       **dict(job.model_kwargs))
+
+
 def _run_job(job: SweepJob) -> VerificationResult:
-    model = build_model(job.path_type, flowlinks=job.flowlinks,
-                        **dict(job.model_kwargs))
-    return verify_model(model, max_states=job.max_states,
+    return verify_model(_build(job), max_states=job.max_states,
                         on_truncate="mark", max_seconds=job.max_seconds)
 
 
@@ -61,23 +63,21 @@ def default_jobs(flowlink_counts: Sequence[int] = (0, 1),
             for k in flowlink_counts for pt in path_types]
 
 
+def _dead_worker_result(job: SweepJob) -> VerificationResult:
+    """Tombstone for a model whose worker process died before
+    returning: truncated and not ok, so ``repro sweep`` exits 1."""
+    model = _build(job)
+    return VerificationResult(
+        key=model.key, property_kind=model.property_kind, states=0,
+        transitions=0, elapsed=0.0, memory_proxy=0, safety_ok=False,
+        property_ok=False, truncated=True)
+
+
 def run_jobs(jobs: Sequence[SweepJob],
              processes: Optional[int] = None) -> List[VerificationResult]:
     """Run ``jobs`` across ``processes`` workers (default: one per
     core, capped at the job count).  ``processes<=1`` runs serially."""
-    jobs = list(jobs)
-    if processes is None:
-        processes = min(len(jobs), os.cpu_count() or 1)
-    if processes <= 1 or len(jobs) <= 1:
-        return [_run_job(job) for job in jobs]
-    try:
-        import multiprocessing
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes) as pool:
-            return pool.map(_run_job, jobs, chunksize=1)
-    except (ImportError, OSError, PermissionError, ValueError):
-        # No usable worker pool on this platform: degrade gracefully.
-        return [_run_job(job) for job in jobs]
+    return map_jobs(_run_job, jobs, processes, _dead_worker_result)
 
 
 def sweep(flowlink_counts: Sequence[int] = (0, 1),

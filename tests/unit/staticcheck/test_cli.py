@@ -27,9 +27,15 @@ def test_unknown_target_exits_two():
 
 
 def test_bad_flag_exits_two():
-    with pytest.raises(SystemExit) as err:
-        lint_main(["--bogus"], stream=io.StringIO())
-    assert err.value.code == 2
+    # ``--runs`` only counts leak-gate replays: alone it is a usage
+    # error, not a silent full-catalog lint, and a gate over zero
+    # replays would pass without measuring anything.
+    for argv in (["--bogus"], ["--runs", "3"],
+                 ["--leak-gate", "--runs", "0"],
+                 ["--leak-gate", "--runs", "-1"]):
+        with pytest.raises(SystemExit) as err:
+            lint_main(argv, stream=io.StringIO())
+        assert err.value.code == 2
 
 
 def test_list_names_targets():

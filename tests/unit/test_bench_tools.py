@@ -1,23 +1,26 @@
-"""Unit tests for the shared benchmark-report plumbing."""
+"""Unit tests for the shared report and argument plumbing."""
 
+import argparse
 import io
 import json
 
 import pytest
 
-from repro.tools.bench import (emit_json, geomean, load_baseline,
-                               speedup_vs_seed, write_text)
+from repro.tools.bench import (emit, geomean, load_baseline, positive,
+                               speedup_vs_seed)
 
 
 def test_write_text_creates_parent_directories(tmp_path):
     path = tmp_path / "a" / "b" / "report.json"
-    write_text(str(path), "hello\n")
-    assert path.read_text() == "hello\n"
+    out = io.StringIO()
+    emit(str(path), "hello\n", out)
+    assert path.read_text() == "hello\n"  # a str is written verbatim
+    assert out.getvalue() == ""
 
 
 def test_emit_json_to_file_is_sorted_and_newline_terminated(tmp_path):
     path = tmp_path / "deep" / "out.json"
-    emit_json(str(path), {"b": 1, "a": 2})
+    emit(str(path), {"b": 1, "a": 2}, io.StringIO())
     text = path.read_text()
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
@@ -26,8 +29,24 @@ def test_emit_json_to_file_is_sorted_and_newline_terminated(tmp_path):
 
 def test_emit_json_dash_writes_to_stream():
     out = io.StringIO()
-    emit_json("-", {"k": "v"}, out=out)
-    assert json.loads(out.getvalue()) == {"k": "v"}
+    emit("-", {"k": "v"}, out)
+    assert out.getvalue() == '{\n  "k": "v"\n}\n'
+    out = io.StringIO()
+    emit("-", "verbatim", out)
+    assert out.getvalue() == "verbatim"
+
+
+def test_positive_type_rejects_zero_negative_and_junk():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--n", type=positive(int))
+    parser.add_argument("--s", type=positive(float))
+    args = parser.parse_args(["--n", "3", "--s", "0.5"])
+    assert (args.n, args.s) == (3, 0.5)
+    for argv in (["--n", "0"], ["--n", "-2"], ["--n", "x"],
+                 ["--s", "0"], ["--s", "nan"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
 
 
 def test_load_baseline_missing_file_is_empty(tmp_path):

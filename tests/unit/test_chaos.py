@@ -112,6 +112,20 @@ def test_cli_negative_control_exits_one():
     assert "DIVERGED" in out.getvalue()
 
 
+def test_cli_bench_json_dash_goes_to_stdout(tmp_path, monkeypatch):
+    # "-" means stdout for every report flag; it is never a file name.
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    assert chaos_main(["--app", "pbx", "--bench-json", "-"],
+                      out=out) == 0
+    text = out.getvalue()
+    payload = json.loads(text[text.index("{"):])
+    assert payload["summary"] == {"apps_measured": 1,
+                                  "all_converged": True}
+    assert payload["apps"]["pbx"]["converged"] is True
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_list_plans():
     out = io.StringIO()
     assert chaos_main(["--list-plans"], out=out) == 0

@@ -54,6 +54,7 @@ def test_load_usage_errors_exit_2():
     for argv in (["--apps", "no-such-app"],
                  ["--fault-plan", "no-such-plan"],
                  ["--calls", "0"],
+                 ["--shards", "0"],
                  ["--scaling", "0,2"],
                  ["--scaling", "fast"]):
         with pytest.raises(SystemExit) as exc:
@@ -78,33 +79,11 @@ def test_load_repeat_keeps_best_run():
     assert run["calls_per_sec"] == max(run["calls_per_sec_runs"])
 
 
-def test_load_profile_prints_cumulative_table(tmp_path, capsys):
-    out = io.StringIO()
-    pstats_path = tmp_path / "deep" / "load.pstats"
-    assert load_main(["--calls", "5", "--profile", "--profile-top", "5",
-                      "--profile-out", str(pstats_path)], out=out) == 0
-    text = out.getvalue()
-    assert "cumulative" in text
-    assert "drive_relay" in text
-    assert pstats_path.exists()
-    # The dump is loadable pstats data.
-    import pstats
-    stats = pstats.Stats(str(pstats_path), stream=io.StringIO())
-    assert stats.total_calls > 0
-
-
-def test_load_profile_out_implies_profile(tmp_path):
-    out = io.StringIO()
-    pstats_path = tmp_path / "load.pstats"
-    assert load_main(["--calls", "3",
-                      "--profile-out", str(pstats_path)], out=out) == 0
-    assert pstats_path.exists()
-
-
-def test_load_is_wired_into_python_m_repro():
+def test_load_is_wired_into_python_m_repro(capsys):
     from repro.__main__ import _DELEGATED
     assert _DELEGATED["load"][0] == "repro.load.cli"
     assert repro_main(["load", "--calls", "4"]) == 0
+    assert "calls/sec" in capsys.readouterr().out
     # Usage errors surface through the delegation unchanged.
     with pytest.raises(SystemExit) as exc:
         repro_main(["load", "--apps", "no-such-app"])

@@ -73,9 +73,12 @@ def test_multiple_profiles_aggregate_in_the_summary():
         r["sessions"]["started"] for r in payload["runs"].values())
 
 
-def test_soak_is_wired_into_python_m_repro():
+def test_soak_is_wired_into_python_m_repro(capsys):
     from repro.__main__ import _DELEGATED, main as repro_main
     assert "soak" in _DELEGATED
     assert repro_main(["soak", "--list-profiles"]) == 0
+    # The default stream is the current stdout, not the one bound when
+    # the module was imported.
+    assert "steady" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         repro_main(["soak", "--profile", "no-such-profile"])

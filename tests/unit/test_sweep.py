@@ -1,7 +1,18 @@
-"""The parallel sweep driver: ordering, equivalence, timeouts."""
+"""The parallel sweep driver: ordering, equivalence, timeouts, dead
+workers."""
+
+import importlib
+import os
+import signal
+import threading
+import time
 
 from repro.verification import (PATH_TYPES, SweepJob, default_jobs,
                                 run_jobs, sweep, verify_all)
+
+# The package re-exports the ``sweep`` function under the submodule's
+# name, so fetch the module itself to patch its globals.
+sweep_module = importlib.import_module("repro.verification.sweep")
 
 
 def test_default_jobs_cover_grid_in_report_order():
@@ -59,3 +70,33 @@ def test_two_flowlink_sweep():
                     processes=2)
     assert [r.key for r in results] == ["CC+2links", "CH+2links"]
     assert all(r.ok for r in results)
+
+
+def test_dead_worker_yields_truncated_result_not_a_hang(monkeypatch):
+    """Regression: a sweep worker killed mid-run used to hang the whole
+    sweep inside ``Pool.map``.  The dead model must come back as a
+    truncated, not-ok result next to the survivor's real one."""
+    parent = os.getpid()
+    real_build = sweep_module.build_model
+
+    def build_or_die(path_type, **kwargs):
+        if path_type == "CH" and os.getpid() != parent:
+            # Give the sibling job a head start, then vanish the way an
+            # OOM kill does: no exception, no result.
+            time.sleep(0.5)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_build(path_type, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "build_model", build_or_die)
+    jobs = [SweepJob("CC", flowlinks=0), SweepJob("CH", flowlinks=0)]
+    box = []
+    worker = threading.Thread(
+        target=lambda: box.append(run_jobs(jobs, processes=2)),
+        daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "sweep hung on a dead worker"
+    [survivor, dead] = box[0]
+    assert survivor.key == "CC" and survivor.ok
+    assert dead.key == "CH" and dead.truncated and not dead.ok
+    assert dead.property_kind == "stability-closed"
